@@ -17,6 +17,10 @@ This harness pins down two numbers and records their trajectory in
   fabric, ``repro.parallel``), recording the wall-clock of each and
   asserting byte-identical per-run results; the >= 3x speedup assertion
   only arms on machines with 4+ cores.
+* **cache range index** — per-op cost of a containment miss and of
+  ``invalidate_key`` in the cache store with 128 and with 4096 disjoint
+  per-user prefix ranges cached; asserts in every mode that the cost grows
+  at most 4x across that 32x growth in cached ranges.
 
 Run it via ``make perf`` (full scenario; sets ``BENCH_PERF_RECORD=1`` to
 append to ``BENCH_PERF.json`` and assert the speedup) or as part of
@@ -35,6 +39,7 @@ import os
 import time
 from dataclasses import replace
 
+from repro.cache.store import StalenessBudgetCache
 from repro.experiments.harness import build_engine_and_app, smoke_scaled, smoke_mode
 from repro.experiments.perf_log import append_entry, load_trajectory
 from repro.parallel.scenarios import STANDARD_CLOSED_LOOP, smoke_grid
@@ -419,3 +424,91 @@ def test_telemetry_overhead(table_printer):
             "results_identical": identical,
         },
     })
+
+
+# ------------------------------------------------------- cache range index
+#
+# Every query's range read and every index write goes through the cache
+# store's range path: an exact-token miss falls through to a containment
+# lookup, and an index write calls ``invalidate_key``.  The microbench caches
+# CACHE_INDEX_SIZES[i] disjoint per-user prefix ranges (the shape the social
+# app issues), then times containment misses and non-matching invalidations
+# for users whose ranges are not cached, interleaved with the cached ones.
+# The ratio of per-op costs between the two sizes is machine-independent:
+# a per-namespace scan grows with the cached ranges (32x here), the range
+# index by a bisection step or two.
+CACHE_INDEX_SIZES = (128, 4096)
+CACHE_INDEX_OPS = int(smoke_scaled(4000, 1000))
+CACHE_INDEX_REPEATS = 5
+CACHE_INDEX_MAX_SCALING = 4.0
+
+
+def _best_per_op_us(fn, calls) -> float:
+    """Best-of-CACHE_INDEX_REPEATS wall time per call, in microseconds."""
+    best = float("inf")
+    for _ in range(CACHE_INDEX_REPEATS):
+        start = time.perf_counter()
+        for args in calls:
+            fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best / len(calls) * 1e6
+
+
+def _cache_index_costs(ranges: int) -> tuple:
+    """(lookup-miss us, invalidate us) per op with ``ranges`` cached ranges."""
+    store = StalenessBudgetCache(capacity=2 * ranges)
+    users = [f"u{i:08d}" for i in range(2 * ranges)]
+    for user in users[::2]:
+        store.put_range("idx", (user,), (user + "\x00",), None, False,
+                        [((user, "row"), {})], now=0.0, ttl=1e9)
+    absent = [users[(2 * i + 1) % len(users)] for i in range(CACHE_INDEX_OPS)]
+    lookup_us = _best_per_op_us(store.get_range, [
+        ("idx", (user,), (user + "\x00",), None, False, 1.0) for user in absent])
+    invalidate_us = _best_per_op_us(store.invalidate_key, [
+        ("idx", (user, "row")) for user in absent])
+    assert len(store) == ranges, "the timed ops must neither hit nor drop"
+    return lookup_us, invalidate_us
+
+
+def run_cache_index_microbench() -> tuple:
+    """Per-op costs at each of CACHE_INDEX_SIZES, and the recorded section."""
+    costs = [_cache_index_costs(ranges) for ranges in CACHE_INDEX_SIZES]
+    (small_lookup, small_invalidate), (lookup, invalidate) = costs
+    section = {
+        "ranges": CACHE_INDEX_SIZES[1],
+        "ops": CACHE_INDEX_OPS,
+        "lookup_miss_us": round(lookup, 3),
+        "invalidate_us": round(invalidate, 3),
+        "scaling_ratio": round(max(lookup / small_lookup,
+                                   invalidate / small_invalidate), 2),
+    }
+    return costs, section
+
+
+def test_cache_index_scaling(table_printer):
+    """Range-path cost in the cache store must stay near-flat in the number
+    of cached ranges (the per-namespace range index)."""
+    costs, section = run_cache_index_microbench()
+    table_printer(
+        "Perf: cache range index (per-op us)",
+        ["ranges cached", "containment miss", "invalidate_key"],
+        [[ranges, round(lookup, 3), round(invalidate, 3)]
+         for ranges, (lookup, invalidate) in zip(CACHE_INDEX_SIZES, costs)],
+    )
+    print(f"cost growth {CACHE_INDEX_SIZES[0]} -> {CACHE_INDEX_SIZES[1]} "
+          f"ranges: {section['scaling_ratio']:.2f}x "
+          f"(bound {CACHE_INDEX_MAX_SCALING:.0f}x)")
+    # A ratio of two timings on the same host: asserted in every mode.
+    assert section["scaling_ratio"] <= CACHE_INDEX_MAX_SCALING, (
+        f"cache range-path cost grew {section['scaling_ratio']:.1f}x from "
+        f"{CACHE_INDEX_SIZES[0]} to {CACHE_INDEX_SIZES[1]} cached ranges "
+        f"(bound {CACHE_INDEX_MAX_SCALING}x)"
+    )
+    if smoke_mode() or os.environ.get("BENCH_PERF_RECORD", "") in ("", "0"):
+        return
+    label = os.environ.get("BENCH_PERF_LABEL", "run")
+    entry = {"label": f"{label}-cache-index", "cache_index": section}
+    notes = os.environ.get("BENCH_PERF_NOTES", "")
+    if notes:
+        entry["notes"] = notes
+    _append_trajectory(entry)

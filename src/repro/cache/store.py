@@ -9,6 +9,12 @@ The store holds two kinds of entries in one LRU order:
   :class:`~repro.storage.records.KeyRange` they cover so a point write can
   invalidate exactly the cached scans whose range contains the written key.
 
+Range entries are also held in a per-namespace :class:`RangeIndex`, sorted by
+start, so the two range-path operations that run on every query and every
+index write — serving a narrower scan from a wider cached one, and dropping
+the cached scans a written key falls in — bisect to a start and walk back a
+few slots instead of scanning every cached scan of the namespace.
+
 Every entry carries an absolute expiry time derived by the admission policy
 from the governing staleness bound (see :mod:`repro.cache.policy`); expired
 entries are treated as misses and reclaimed lazily.  Capacity is measured in
@@ -18,9 +24,12 @@ wide scans cannot silently dwarf thousands of entity entries.
 
 from __future__ import annotations
 
+import itertools
+import math
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.storage.records import Key, KeyRange
 
@@ -62,6 +71,9 @@ class CacheEntry:
     key: Optional[Key] = None
     key_range: Optional[KeyRange] = None
     cost: int = 1
+    # Admission order of a range entry: when several cached scans could
+    # serve by containment, the lowest sequence number (the oldest) wins.
+    seq: int = 0
 
     def expired(self, now: float) -> bool:
         return now >= self.expires_at
@@ -81,8 +93,113 @@ def range_token(namespace: str, start: Optional[Key], end: Optional[Key],
     return ("range", namespace, start, end, limit, reverse)
 
 
+def _slot_key(start: Optional[Key], seq: float) -> tuple:
+    """Sort key of a :class:`RangeIndex` slot: unbounded starts first, then
+    by start, ties by admission sequence (so every slot key is unique)."""
+    return (start is not None, () if start is None else start, seq)
+
+
+def _later_end(a: Optional[Key], b: Optional[Key]) -> Optional[Key]:
+    """The further of two range ends (None is +inf)."""
+    if a is None or b is None:
+        return None
+    return a if a >= b else b
+
+
+def _reaches(end: Optional[Key], bound: Optional[Key], strict: bool) -> bool:
+    """Does a range ending at ``end`` extend to ``bound`` — ``end >= bound``,
+    or ``end > bound`` when ``strict``?  None is +inf on both sides."""
+    if end is None:
+        return True
+    if bound is None:
+        return False
+    return end > bound if strict else end >= bound
+
+
+class RangeIndex:
+    """The range entries of one namespace, sorted by start.
+
+    Slot ``i`` keeps its entry and its *reach*: the furthest end of any entry
+    in slots ``0..i`` (None = +inf).  Reach never decreases from slot to
+    slot, so a walk back from the last slot starting at or before a point can
+    stop at the first slot whose reach falls short of the end it needs: no
+    entry further back extends that far.  Insert and remove update reach
+    forward only until it stops changing.
+
+    On the disjoint per-user prefix ranges the app issues, each slot's reach
+    is its own end, so a lookup or an invalidation is one O(log n) bisection
+    plus O(1) slots.  The one worst case is an early entry with an unbounded
+    end: it raises every later reach to +inf and the walk becomes linear in
+    the slots before the point — no worse than a scan of the namespace.
+    """
+
+    __slots__ = ("_keys", "_entries", "_reach")
+
+    def __init__(self) -> None:
+        self._keys: List[tuple] = []
+        self._entries: List[CacheEntry] = []
+        self._reach: List[Optional[Key]] = []
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add(self, entry: CacheEntry) -> None:
+        key = _slot_key(entry.key_range.start, entry.seq)
+        pos = bisect_right(self._keys, key)
+        end = entry.key_range.end
+        reach = end if pos == 0 else _later_end(self._reach[pos - 1], end)
+        self._keys.insert(pos, key)
+        self._entries.insert(pos, entry)
+        self._reach.insert(pos, reach)
+        reaches = self._reach
+        for i in range(pos + 1, len(reaches)):
+            if _reaches(reaches[i], end, strict=False):
+                break
+            reaches[i] = end
+
+    def discard(self, entry: CacheEntry) -> None:
+        pos = bisect_left(self._keys, _slot_key(entry.key_range.start, entry.seq))
+        del self._keys[pos]
+        del self._entries[pos]
+        del self._reach[pos]
+        # From the first unchanged reach on, every later one depends only on
+        # slots the removal did not touch.
+        entries, reaches = self._entries, self._reach
+        for i in range(pos, len(entries)):
+            end = entries[i].key_range.end
+            reach = end if i == 0 else _later_end(reaches[i - 1], end)
+            if reach == reaches[i]:
+                break
+            reaches[i] = reach
+
+    def covering(self, start: Optional[Key], end: Optional[Key]) -> List[CacheEntry]:
+        """Every entry whose range contains all of ``[start, end)``."""
+        return self._walk(start, end, strict=False)
+
+    def containing(self, key: Key) -> List[CacheEntry]:
+        """Every entry whose range contains ``key``."""
+        return self._walk(key, key, strict=True)
+
+    def _walk(self, point: Optional[Key], bound: Optional[Key],
+              strict: bool) -> List[CacheEntry]:
+        """Entries starting at or before ``point`` whose end reaches ``bound``."""
+        entries, reaches = self._entries, self._reach
+        found = []
+        i = bisect_right(self._keys, _slot_key(point, math.inf)) - 1
+        while i >= 0 and _reaches(reaches[i], bound, strict):
+            entry = entries[i]
+            if _reaches(entry.key_range.end, bound, strict):
+                found.append(entry)
+            i -= 1
+        return found
+
+
 class StalenessBudgetCache:
     """An LRU + TTL cache over entity and range-read results.
+
+    Range entries are additionally indexed per namespace by a
+    :class:`RangeIndex`, which serves both containment lookups and key
+    invalidation with one bisection and a short backward walk.
 
     Args:
         capacity: maximum total cost (rows) held; least-recently-used entries
@@ -90,24 +207,17 @@ class StalenessBudgetCache:
             ``max(1, len(rows))``.
     """
 
-    # Containment lookups examine at most this many range entries per miss:
-    # the scan is Python-loop work on the read hot path, so its worst case
-    # must stay bounded even when a namespace accumulates thousands of
-    # distinct cached scans.  Entries beyond the cap simply cannot serve by
-    # containment (the exact-token path is unaffected).
-    CONTAINMENT_SCAN_CAP = 128
-
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[EntryToken, CacheEntry]" = OrderedDict()
-        # Token "sets" are insertion-ordered dicts, NOT sets: containment
-        # picks the first covering entry, and set iteration order varies with
-        # the interpreter's hash seed — which would let two invocations of
-        # the same seeded run serve (and LRU-refresh) different entries,
-        # breaking the sweep fabric's serial/parallel reproducibility.
-        self._ranges_by_namespace: Dict[str, Dict[EntryToken, None]] = {}
+        self._range_index: Dict[str, RangeIndex] = {}
+        # Admission sequence numbers, not hash order, decide which covering
+        # entry serves: set iteration order varies with the interpreter's
+        # hash seed, which would let two invocations of the same seeded run
+        # serve (and LRU-refresh) different entries.
+        self._range_admissions = itertools.count()
         self._cost_total = 0
         self.stats = CacheStats()
 
@@ -163,9 +273,13 @@ class StalenessBudgetCache:
         One hit or one miss is counted per call; a containment serve also
         refreshes the serving entry's LRU position and counts in
         ``stats.containment_hits``.  When several cached entries could serve,
-        the oldest-admitted one wins (insertion order — deterministic across
-        interpreter invocations, unlike set order); the scan examines at most
-        ``CONTAINMENT_SCAN_CAP`` entries per miss to bound its hot-path cost.
+        the oldest-admitted one wins (lowest admission sequence number —
+        deterministic across interpreter invocations, unlike set order).
+        Candidates come from the namespace's :class:`RangeIndex`, so a miss
+        costs a bisection plus a walk over the entries that reach the
+        requested end; expired covering entries the walk meets are reclaimed.
+        Behind an early entry with an unbounded end every slot reaches, and
+        the walk is linear — no worse than scanning the namespace.
         """
         entry = self._entries.get(range_token(namespace, start, end, limit, reverse))
         if entry is not None:
@@ -187,46 +301,34 @@ class StalenessBudgetCache:
     def _containment_lookup(self, namespace: str, start: Optional[Key],
                             end: Optional[Key], limit: Optional[int],
                             reverse: bool, now: float) -> Optional[list]:
-        tokens = self._ranges_by_namespace.get(namespace)
-        if not tokens:
+        index = self._range_index.get(namespace)
+        if index is None:
             return None
+        server: Optional[CacheEntry] = None
         doomed = []
-        served: Optional[list] = None
-        examined = 0
-        for rtoken in tokens:
-            if examined >= self.CONTAINMENT_SCAN_CAP:
-                break
-            examined += 1
-            entry = self._entries.get(rtoken)
-            if entry is None or entry.key_range is None:
-                continue
+        for entry in index.covering(start, end):
             if entry.expired(now):
-                doomed.append(rtoken)
+                doomed.append(entry.token)
                 continue
-            entry_limit = rtoken[4]
-            complete = entry_limit is None or len(entry.value) < entry_limit
-            if not complete:
-                continue
-            covers_low = entry.key_range.start is None or (
-                start is not None and entry.key_range.start <= start)
-            covers_high = entry.key_range.end is None or (
-                end is not None and end <= entry.key_range.end)
-            if not (covers_low and covers_high):
-                continue
-            rows = [(key, value) for key, value in entry.value
-                    if (start is None or key >= start)
-                    and (end is None or key < end)]
-            if bool(rtoken[5]) != reverse:
-                rows.reverse()
-            if limit is not None:
-                rows = rows[:limit]
-            self._entries.move_to_end(rtoken)
-            served = rows
-            break
-        for rtoken in doomed:
-            self._remove(rtoken)
+            entry_limit = entry.token[4]
+            if entry_limit is not None and len(entry.value) >= entry_limit:
+                continue  # truncated by its own limit: coverage unknown
+            if server is None or entry.seq < server.seq:
+                server = entry
+        for token in doomed:
+            self._remove(token)
             self.stats.ttl_expirations += 1
-        return served
+        if server is None:
+            return None
+        rows = [(key, value) for key, value in server.value
+                if (start is None or key >= start)
+                and (end is None or key < end)]
+        if bool(server.token[5]) != reverse:
+            rows.reverse()
+        if limit is not None:
+            rows = rows[:limit]
+        self._entries.move_to_end(server.token)
+        return rows
 
     # --------------------------------------------------------------- admission
 
@@ -265,6 +367,7 @@ class StalenessBudgetCache:
             expires_at=now + ttl,
             key_range=KeyRange(namespace=namespace, start=start, end=end),
             cost=cost,
+            seq=next(self._range_admissions),
         )
         self._insert(entry)
         return entry
@@ -275,7 +378,10 @@ class StalenessBudgetCache:
         self._entries[entry.token] = entry
         self._cost_total += entry.cost
         if entry.key_range is not None:
-            self._ranges_by_namespace.setdefault(entry.namespace, {})[entry.token] = None
+            index = self._range_index.get(entry.namespace)
+            if index is None:
+                index = self._range_index[entry.namespace] = RangeIndex()
+            index.add(entry)
         self.stats.insertions += 1
         while self._cost_total > self.capacity and self._entries:
             victim_token = next(iter(self._entries))
@@ -300,12 +406,10 @@ class StalenessBudgetCache:
         if token in self._entries:
             self._remove(token)
             dropped += 1
-        for rtoken in list(self._ranges_by_namespace.get(namespace, ())):
-            entry = self._entries.get(rtoken)
-            if entry is None or entry.key_range is None:
-                continue
-            if entry.key_range.contains(key):
-                self._remove(rtoken)
+        index = self._range_index.get(namespace)
+        if index is not None:
+            for entry in index.containing(key):
+                self._remove(entry.token)
                 dropped += 1
         self.stats.invalidations += dropped
         return dropped
@@ -322,7 +426,7 @@ class StalenessBudgetCache:
     def clear(self) -> None:
         """Drop everything (stats are preserved)."""
         self._entries.clear()
-        self._ranges_by_namespace.clear()
+        self._range_index.clear()
         self._cost_total = 0
 
     # ----------------------------------------------------------------- internal
@@ -333,8 +437,7 @@ class StalenessBudgetCache:
             return
         self._cost_total -= entry.cost
         if entry.key_range is not None:
-            tokens = self._ranges_by_namespace.get(entry.namespace)
-            if tokens is not None:
-                tokens.pop(token, None)
-                if not tokens:
-                    del self._ranges_by_namespace[entry.namespace]
+            index = self._range_index[entry.namespace]
+            index.discard(entry)
+            if not index:
+                del self._range_index[entry.namespace]

@@ -117,7 +117,11 @@ class CacheTier:
         *containment* from a wider complete cached scan (see
         :meth:`~repro.cache.store.StalenessBudgetCache.get_range`) — the
         narrower answer inherits the wider entry's TTL, which is at least as
-        conservative as the one a fresh fill would get.
+        conservative as the one a fresh fill would get.  Candidates come from
+        the store's per-namespace range index, so a miss costs one bisection
+        plus a walk over the cached scans that reach the requested end — O(1)
+        on disjoint per-user prefix scans, linear only behind an early scan
+        with an unbounded end.
         """
         if not self.config.cache_ranges or not self.policy.cacheable():
             return None

@@ -15,7 +15,8 @@ caveats and the like), and at least one known measurement section:
 * ``scenario`` — the frozen single-run closed-loop scenario;
 * ``event_queue`` — the bare discrete-event kernel microbench;
 * ``sweep`` — the suite-level serial-vs-parallel sweep comparison;
-* ``telemetry`` — observability-on vs -off overhead on the scenario.
+* ``telemetry`` — observability-on vs -off overhead on the scenario;
+* ``cache_index`` — the cache tier's range-index microbench.
 
 Unknown entry keys, unknown section fields, and missing section fields are
 all rejected.
@@ -82,6 +83,17 @@ SECTION_FIELDS: Dict[str, Dict[str, str]] = {
         "contention_windows": "int",
         "evacuations": "int",
         "capacity_scale_ups": "int",
+    },
+    # The cache tier's range index (bench_perf_throughput's cache-index
+    # microbench): per-op cost of a containment miss and of invalidate_key
+    # with `ranges` disjoint per-user prefix ranges cached, and that cost
+    # over the same cost with 128 ranges cached (the worse of the two ops).
+    "cache_index": {
+        "ranges": "int",
+        "ops": "int",
+        "lookup_miss_us": "number",
+        "invalidate_us": "number",
+        "scaling_ratio": "number",
     },
 }
 

@@ -132,9 +132,10 @@ class SocialGraph:
         return len(self._friends[user_id])
 
     def friendships(self) -> Iterator[Tuple[str, str]]:
-        """Every undirected friendship exactly once (smaller id first)."""
+        """Every undirected friendship exactly once (smaller id first), in a
+        hash-seed-independent order: user generation order, then friend id."""
         for user_id, friends in self._friends.items():
-            for other in friends:
+            for other in sorted(friends):
                 if user_id < other:
                     yield user_id, other
 

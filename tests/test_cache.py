@@ -9,6 +9,9 @@ Correctness contract under test:
 * write-through invalidation drops the written key and exactly the cached
   range scans covering it;
 * the store's LRU + TTL accounting stays within capacity;
+* the per-namespace range index serves, reclaims and invalidates exactly
+  what a brute-force scan of every cached range would (a hypothesis
+  differential property);
 * the provisioning loop sees cache absorption (monitor hit-rate feature,
   planner demand discount).
 """
@@ -16,7 +19,7 @@ Correctness contract under test:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.policy import AdmissionPolicy
 from repro.cache.store import StalenessBudgetCache, entity_token
@@ -105,6 +108,14 @@ class TestStore:
         dropped = store.invalidate_key("ns", ("k5",))
         assert dropped == 2  # the entity entry and the one covering range
         assert len(store) == 2  # the non-overlapping and other-namespace ranges
+
+    def test_invalidate_key_respects_half_open_range_bounds(self):
+        store = StalenessBudgetCache(capacity=64)
+        store.put_range("ns", ("k0",), ("k5",), None, False,
+                        [(("k1",), {})], now=0.0, ttl=10.0)
+        assert store.invalidate_key("ns", ("k5",)) == 0  # the excluded end
+        assert store.invalidate_key("ns", ("k0",)) == 1  # the included start
+        assert len(store) == 0
 
 
 # ----------------------------------------------------------------- the policy
@@ -460,6 +471,189 @@ class TestRangeContainment:
         narrow = engine.query("page", {"c": "sf", "lo": "n1", "hi": "n3"})
         assert sorted(r["name"] for r in narrow.rows) == ["n1", "n2", "n3"]
         assert engine.cache.store.stats.containment_hits == before + 1
+
+    def test_oldest_admission_wins_over_an_earlier_start(self):
+        """The index walks entries by start, but the oldest-admitted covering
+        entry still serves, as in admission-order scanning."""
+        store, rows = self.make_store()
+        store.put_range("ns", None, ("u06",), None, False, rows,
+                        now=0.0, ttl=10.0)
+        served = store.get_range("ns", ("u01",), ("u04",), None, False, now=1.0)
+        assert served == rows[1:4]
+        assert next(reversed(store._entries)) == (
+            "range", "ns", ("u00",), ("u06",), None, False)
+
+    def test_covering_entry_past_two_hundred_ranges_serves(self):
+        """Every cached scan of a namespace is a containment candidate: a
+        covering entry admitted after 200 other ranges still serves."""
+        store = StalenessBudgetCache(capacity=4096)
+        for i in range(200):
+            store.put_range("ns", (f"a{i:03d}",), (f"a{i:03d}\x00",), None,
+                            False, [((f"a{i:03d}",), {})], now=0.0, ttl=10.0)
+        rows = [((f"z{i}",), {"id": i}) for i in range(9)]
+        store.put_range("ns", ("z0",), ("z9",), None, False, rows,
+                        now=0.0, ttl=10.0)
+        served = store.get_range("ns", ("z1",), ("z5",), None, False, now=1.0)
+        assert served == rows[1:5]
+        assert store.stats.containment_hits == 1
+
+
+# ------------------------------------------- range index vs a brute-force scan
+
+
+class ScanReference(StalenessBudgetCache):
+    """The store with its range index bypassed: containment and key
+    invalidation scan every cached range entry, in admission order, with no
+    cap.  The rules are the store's documented ones: only complete, live
+    entries serve, the oldest-admitted covering entry wins, and expired
+    covering entries are reclaimed."""
+
+    def _ranges(self, namespace):
+        return sorted((entry for entry in self._entries.values()
+                       if entry.key_range is not None
+                       and entry.namespace == namespace),
+                      key=lambda entry: entry.seq)
+
+    def _containment_lookup(self, namespace, start, end, limit, reverse, now):
+        server, doomed = None, []
+        for entry in self._ranges(namespace):
+            low, high = entry.key_range.start, entry.key_range.end
+            if not ((low is None or (start is not None and low <= start))
+                    and (high is None or (end is not None and end <= high))):
+                continue
+            if entry.expired(now):
+                doomed.append(entry.token)
+            elif server is None and (entry.token[4] is None
+                                     or len(entry.value) < entry.token[4]):
+                server = entry
+        for token in doomed:
+            self._remove(token)
+            self.stats.ttl_expirations += 1
+        if server is None:
+            return None
+        rows = [(key, value) for key, value in server.value
+                if (start is None or key >= start) and (end is None or key < end)]
+        if server.token[5] != reverse:
+            rows.reverse()
+        self._entries.move_to_end(server.token)
+        return rows if limit is None else rows[:limit]
+
+    def invalidate_key(self, namespace, key):
+        doomed = [entry.token for entry in self._ranges(namespace)
+                  if entry.key_range.contains(key)]
+        if entity_token(namespace, key) in self._entries:
+            doomed.append(entity_token(namespace, key))
+        for token in doomed:
+            self._remove(token)
+        self.stats.invalidations += len(doomed)
+        return len(doomed)
+
+
+_USERS = ["a", "b", "c"]
+# Every key the differential test's scans can return: (user, item).
+_UNIVERSE = [(user, item) for user in _USERS for item in range(3)]
+_keys = st.tuples(st.sampled_from(_USERS), st.integers(0, 2))
+
+
+# Range bounds: the app's per-user prefixes and BETWEEN-style item windows,
+# plus arbitrary and unbounded ones, so disjoint, nested and overlapping
+# entries all arise.
+_prefix = st.sampled_from(_USERS).map(lambda u: ((u,), (u + "\x00",)))
+_between = st.tuples(st.sampled_from(_USERS), st.integers(0, 2),
+                     st.integers(0, 2)).map(
+    lambda t: ((t[0], min(t[1], t[2])), (t[0], max(t[1], t[2]) + 1)))
+_bound = st.one_of(st.none(), _keys)
+_arbitrary = st.tuples(_bound, _bound).map(
+    lambda b: b if None in b or b[0] <= b[1] else (b[1], b[0]))
+
+
+def _scan(start, end, limit, reverse):
+    rows = [(key, {"item": key[1]}) for key in _UNIVERSE
+            if (start is None or key >= start) and (end is None or key < end)]
+    if reverse:
+        rows.reverse()
+    return rows if limit is None else rows[:limit]
+
+
+def _scan_params(bounds):
+    limits = st.one_of(st.none(), st.none(), st.integers(1, 4))
+    return st.tuples(st.sampled_from(["idx", "idx", "other"]), bounds,
+                     limits, st.booleans())
+
+
+# Lookups lean to the narrow shapes, so that containment serves often.
+_lookup = st.tuples(st.just("get_range"),
+                    _scan_params(st.one_of(_prefix, _between, _between, _arbitrary)))
+_store_ops = st.lists(st.one_of(
+    st.tuples(st.just("put_range"),
+              _scan_params(st.one_of(_prefix, _between, _arbitrary)),
+              st.sampled_from([1.0, 2.5, 6.0])),
+    st.tuples(st.just("put_entity"), st.just("idx"), _keys, st.sampled_from([1.0, 6.0])),
+    _lookup, _lookup,
+    st.tuples(st.just("invalidate_key"), st.just("idx"), _keys),
+    st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 3.0])),
+), min_size=10, max_size=80)
+
+
+def _apply(store, op, now):
+    """Run one differential-test step on ``store``; returns what it returned."""
+    kind = op[0]
+    if kind == "put_range":
+        (namespace, (start, end), limit, reverse), ttl = op[1], op[2]
+        rows = _scan(start, end, limit, reverse)
+        return store.put_range(namespace, start, end, limit, reverse, rows,
+                               now=now, ttl=ttl) is not None
+    if kind == "put_entity":
+        _, namespace, key, ttl = op
+        return store.put_entity(namespace, key, {"item": key[1]},
+                                now=now, ttl=ttl) is not None
+    if kind == "get_range":
+        namespace, (start, end), limit, reverse = op[1]
+        return store.get_range(namespace, start, end, limit, reverse, now=now)
+    if kind == "invalidate_key":
+        return store.invalidate_key(op[1], op[2])
+    return None
+
+
+def _assert_index_consistent(store):
+    """Each namespace's index holds exactly its live range entries, sorted by
+    (start, admission), and every slot's reach is the furthest end so far."""
+    for namespace, index in store._range_index.items():
+        expected = sorted(
+            (entry for entry in store._entries.values()
+             if entry.key_range is not None and entry.namespace == namespace),
+            key=lambda entry: (entry.key_range.start is not None,
+                               entry.key_range.start or (), entry.seq))
+        assert index._entries == expected
+        furthest = []
+        for entry in expected:
+            end = entry.key_range.end
+            if furthest and (furthest[-1] is None
+                             or (end is not None and end < furthest[-1])):
+                end = furthest[-1]
+            furthest.append(end)
+        assert index._reach == furthest
+    assert all(entry.namespace in store._range_index
+               for entry in store._entries.values() if entry.key_range is not None)
+
+
+@pytest.mark.property
+@settings(deadline=None)
+@given(_store_ops)
+def test_range_index_matches_a_brute_force_scan(ops):
+    """The indexed store and the scanning reference serve the same rows and
+    keep the same counters, drop counts and LRU order after every step."""
+    indexed, reference = StalenessBudgetCache(capacity=16), ScanReference(capacity=16)
+    now = 0.0
+    for op in ops:
+        if op[0] == "advance":
+            now += op[1]
+            continue
+        assert _apply(indexed, op, now) == _apply(reference, op, now)
+        assert indexed.stats == reference.stats
+        assert list(indexed._entries) == list(reference._entries)
+        assert indexed.cost_total == reference.cost_total
+        _assert_index_consistent(indexed)
 
 
 class TestMissPathLatencyLabel:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +87,27 @@ class TestSocialGraph:
         a = make_graph(n=60, seed=5)
         b = make_graph(n=60, seed=5)
         assert sorted(a.friendships()) == sorted(b.friendships())
+
+    def test_friendship_order_is_independent_of_the_hash_seed(self):
+        """The bulk load writes friendships in iteration order, so that order
+        must not depend on the interpreter's string-hash seed."""
+        script = (
+            "import numpy as np\n"
+            "from repro.workloads.social_graph import SocialGraph\n"
+            "graph = SocialGraph(200, np.random.default_rng(7), max_friends=20,"
+            " mean_friends=8.0)\n"
+            "print(list(graph.friendships()))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60,
+                                  check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("(") > 100
 
     def test_single_user_graph(self):
         graph = make_graph(n=1)
