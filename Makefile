@@ -35,6 +35,11 @@
 #                      capacity-only ablation that rents unhelpful nodes
 #                      (the smoke tier of the same scenario already rides
 #                      in grid-smoke)
+#   make fingerprint-check BASE=<rev> - run perfbench's plain pass of every
+#                      workload at seeds 1 and 2027 on revision BASE and on
+#                      the working tree; exits non-zero unless every
+#                      simulated outcome is byte-identical (the oracle for
+#                      host-cost changes; not a CI gate)
 #   make trace-demo  - end-to-end request tracing demo: slowest traces with
 #                      per-span attribution, per-window p99 breakdown, and
 #                      the provisioning decision timeline (see repro.obs)
@@ -43,7 +48,7 @@ PYTEST := python -m pytest
 
 .PHONY: test test-all property bench bench-smoke bench-provisioning \
 	bench-spot bench-noisy perf sweep sweep-smoke grid grid-smoke lint \
-	perf-check ci trace-demo
+	perf-check ci trace-demo fingerprint-check
 
 test:
 	$(PYTEST) -x -q
@@ -106,3 +111,7 @@ ci: lint test perf-check bench-smoke grid-smoke
 
 trace-demo:
 	python examples/trace_demo.py
+
+BASE ?= HEAD
+fingerprint-check:
+	python scripts/compare_fingerprints.py $(BASE)

@@ -21,6 +21,10 @@ This harness pins down two numbers and records their trajectory in
   ``invalidate_key`` in the cache store with 128 and with 4096 disjoint
   per-user prefix ranges cached; asserts in every mode that the cost grows
   at most 4x across that 32x growth in cached ranges.
+* **query dereference** — per-entry cost of a 20-entry dereferencing query
+  (one index scan plus 20 profile reads) with every read served by the
+  cache tier, and with the cache emptied before every query; asserts in
+  every mode that a hit costs less per entry than a miss.
 
 Run it via ``make perf`` (full scenario; sets ``BENCH_PERF_RECORD=1`` to
 append to ``BENCH_PERF.json`` and assert the speedup) or as part of
@@ -39,7 +43,9 @@ import os
 import time
 from dataclasses import replace
 
+from repro.apps.social_network import SocialNetworkApp
 from repro.cache.store import StalenessBudgetCache
+from repro.core.engine import Scads
 from repro.experiments.harness import build_engine_and_app, smoke_scaled, smoke_mode
 from repro.experiments.perf_log import append_entry, load_trajectory
 from repro.parallel.scenarios import STANDARD_CLOSED_LOOP, smoke_grid
@@ -508,6 +514,88 @@ def test_cache_index_scaling(table_printer):
         return
     label = os.environ.get("BENCH_PERF_LABEL", "run")
     entry = {"label": f"{label}-cache-index", "cache_index": section}
+    notes = os.environ.get("BENCH_PERF_NOTES", "")
+    if notes:
+        entry["notes"] = notes
+    _append_trajectory(entry)
+
+
+# ------------------------------------------------- query dereference microbench
+
+QUERY_DEREF_ENTRIES = 20
+QUERY_DEREF_QUERIES = int(smoke_scaled(400, 100))
+
+
+def _query_deref_engine() -> Scads:
+    """A small engine as ``Scads()`` ships it (cache on) whose user ``u00``
+    has QUERY_DEREF_ENTRIES friends, so ``u00``'s birthday page is one
+    20-entry index scan plus 20 profile dereferences."""
+    engine = Scads(seed=13, autoscale=False, initial_groups=4)
+    app = SocialNetworkApp(engine, friend_cap=QUERY_DEREF_ENTRIES,
+                           page_size=QUERY_DEREF_ENTRIES)
+    engine.start()
+    users = [f"u{i:02d}" for i in range(QUERY_DEREF_ENTRIES + 1)]
+    for i, user in enumerate(users):
+        app.create_user(user, user.upper(), f"{1 + i % 12:02d}-{1 + i % 28:02d}")
+    for friend in users[1:]:
+        app.add_friendship(users[0], friend)
+    engine.settle()
+    return engine
+
+
+def _query_deref_us(engine: Scads, cold: bool) -> float:
+    """Best-of-CACHE_INDEX_REPEATS wall time per query, in microseconds;
+    ``cold`` empties the cache before every (untimed) query start."""
+    store = engine.cache.store
+    hits_before = store.stats.hits
+    misses_before = store.stats.misses
+    best = float("inf")
+    for _ in range(CACHE_INDEX_REPEATS):
+        total = 0.0
+        for _ in range(QUERY_DEREF_QUERIES):
+            if cold:
+                store.clear()
+            start = time.perf_counter()
+            result = engine.query("friend_birthdays", {"user_id": "u00"},
+                                  session_id="u00")
+            total += time.perf_counter() - start
+        best = min(best, total)
+    assert result.dereferences == QUERY_DEREF_ENTRIES
+    unexpected = (store.stats.hits - hits_before if cold
+                  else store.stats.misses - misses_before)
+    assert unexpected == 0, "timed queries must be all hits or all misses"
+    return best / QUERY_DEREF_QUERIES * 1e6
+
+
+def run_query_deref_microbench() -> dict:
+    """The recorded ``query_deref`` section: per-entry cost, hit and miss."""
+    engine = _query_deref_engine()
+    engine.query("friend_birthdays", {"user_id": "u00"}, session_id="u00")  # warm
+    hit_us = _query_deref_us(engine, cold=False)
+    miss_us = _query_deref_us(engine, cold=True)
+    return {
+        "entries": QUERY_DEREF_ENTRIES,
+        "queries": QUERY_DEREF_QUERIES,
+        "hit_us_per_entry": round(hit_us / QUERY_DEREF_ENTRIES, 3),
+        "miss_us_per_entry": round(miss_us / QUERY_DEREF_ENTRIES, 3),
+    }
+
+
+def test_query_deref_cost(table_printer):
+    """Host cost of the query read path's dereference step, per entry."""
+    section = run_query_deref_microbench()
+    table_printer(
+        "Perf: query dereference (per-entry us, 20-entry query)",
+        ["all hits", "all misses"],
+        [[section["hit_us_per_entry"], section["miss_us_per_entry"]]],
+    )
+    # Two timings on the same host: asserted in every mode.
+    assert section["hit_us_per_entry"] < section["miss_us_per_entry"], (
+        "a cache-served dereference should cost less than a cluster read")
+    if smoke_mode() or os.environ.get("BENCH_PERF_RECORD", "") in ("", "0"):
+        return
+    label = os.environ.get("BENCH_PERF_LABEL", "run")
+    entry = {"label": f"{label}-query-deref", "query_deref": section}
     notes = os.environ.get("BENCH_PERF_NOTES", "")
     if notes:
         entry["notes"] = notes

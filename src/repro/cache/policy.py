@@ -98,14 +98,20 @@ class AdmissionPolicy:
 
     # ---------------------------------------------------------------- bypasses
 
+    @staticmethod
+    def may_bypass(session: Optional[Session]) -> bool:
+        """Can :meth:`session_allows` refuse any read of this session?
+        Sessions without guarantees (and session-less reads) always accept,
+        so a batch of their lookups skips the per-key check."""
+        return session is not None and session.guarantee.any_enabled
+
     def session_allows(self, session: Optional[Session], namespace: str,
                        key: Key, cached_value) -> bool:
         """May a cached entity value be served to this session?
 
         False forces a cluster read, which re-runs the guarantee enforcement
-        (primary re-read) the session axes require.  Sessions without
-        guarantees always accept.
+        (primary re-read) the session axes require.
         """
-        if session is None or not session.guarantee.any_enabled:
+        if not self.may_bypass(session):
             return True
         return session.acceptable(namespace, key, cached_value, count=False)

@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.storage.records import Key, KeyRange
 
@@ -232,23 +232,36 @@ class StalenessBudgetCache:
     # ------------------------------------------------------------------ lookups
 
     def get(self, token: EntryToken, now: float) -> Optional[CacheEntry]:
-        """Return the live entry under ``token``, or None (counted as a miss).
+        """Return the live entry under ``token``, or None (counted as a miss);
+        a one-token :meth:`get_many`."""
+        return self.get_many((token,), now)[0]
 
-        A hit refreshes the entry's LRU position; an expired entry is
-        reclaimed and reported as a miss.
+    def get_many(self, tokens: Sequence[EntryToken],
+                 now: float) -> List[Optional[CacheEntry]]:
+        """The live entry under each token, in order, or None for a miss.
+
+        Each token is one lookup, applied in order exactly as consecutive
+        :meth:`get` calls would be: a hit refreshes the entry's LRU position;
+        an expired entry is reclaimed and reported as a miss (so a repeated
+        token after it misses too).
         """
-        entry = self._entries.get(token)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        if entry.expired(now):
-            self._remove(token)
-            self.stats.ttl_expirations += 1
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(token)
-        self.stats.hits += 1
-        return entry
+        entries = self._entries
+        found: List[Optional[CacheEntry]] = []
+        hits = 0
+        for token in tokens:
+            entry = entries.get(token)
+            if entry is not None:
+                if entry.expired(now):
+                    self._remove(token)
+                    self.stats.ttl_expirations += 1
+                    entry = None
+                else:
+                    entries.move_to_end(token)
+                    hits += 1
+            found.append(entry)
+        self.stats.hits += hits
+        self.stats.misses += len(found) - hits
+        return found
 
     def peek(self, token: EntryToken) -> Optional[CacheEntry]:
         """The entry under ``token`` regardless of expiry, without counting

@@ -12,7 +12,7 @@ reads — the cache is part of the serving system, not an accounting trick.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cache.invalidation import WriteThroughInvalidator
 from repro.cache.policy import AdmissionPolicy
@@ -54,7 +54,15 @@ class CacheConfig:
 
 
 class CacheTier:
-    """Read-through cache in front of the router, bound to one engine's spec."""
+    """Read-through cache in front of the router, bound to one engine's spec.
+
+    Entity reads are probed and filled a batch at a time (a query's whole
+    dereference list at once): :meth:`lookup_entities` and
+    :meth:`admit_entities` read the policy and the clock once per batch and
+    keep every per-key effect in key order.  The one-key forms
+    :meth:`lookup_entity` and :meth:`admit_entity` (``Scads.get``) are calls
+    into the same code, so each cache rule has one implementation.
+    """
 
     def __init__(self, config: CacheConfig, spec: ConsistencySpec,
                  simulator: Simulator) -> None:
@@ -77,36 +85,69 @@ class CacheTier:
         """Service time of one cache hit (no cluster involvement)."""
         return self._hit_latency.sample(self._rng)
 
+    def sample_hit_latencies(self, count: int) -> List[float]:
+        """Service times of ``count`` cache hits in one draw: the same values,
+        in the same order, as ``count`` :meth:`sample_hit_latency` calls."""
+        return self._hit_latency.sample_many(self._rng, count).tolist()
+
     def lookup_entity(self, namespace: str, key: Key,
                       session: Optional[Session]) -> Optional[CacheEntry]:
-        """The live cached entry for an entity get, or None on miss/bypass.
+        """The live cached entry for one entity get, or None on miss/bypass;
+        a one-key :meth:`lookup_entities`."""
+        return self.lookup_entities(namespace, (key,), session)[0]
 
-        A value the caller's session guarantees reject is a *bypass*: the
-        entry stays cached for other sessions, but this read must go to the
-        cluster (whose read path enforces the guarantee).
+    def lookup_entities(self, namespace: str, keys: Sequence[Key],
+                        session: Optional[Session]) -> List[Optional[CacheEntry]]:
+        """The live cached entry for each entity get, in key order, or None
+        on miss/bypass.
+
+        The policy and the clock are read once per batch; the store applies
+        each key's lookup in order (hit/miss/expiry counts, LRU refresh, lazy
+        reclaim), exactly as one call per key would.  A value the caller's
+        session guarantees reject is a *bypass*: the entry stays cached for
+        other sessions, but this read must go to the cluster (whose read path
+        enforces the guarantee).
         """
         if not self.policy.cacheable():
-            return None
-        entry = self.store.get(entity_token(namespace, key), self._sim.now)
-        if entry is None:
-            return None
-        if not self.policy.session_allows(session, namespace, key, entry.value):
-            self.session_bypasses += 1
-            # The lookup was counted as a hit, but this read goes to the
-            # cluster; reclassify so the hit-rate feature the provisioning
-            # loop sees reflects cluster-absorbed reads only.
-            self.store.stats.hits -= 1
-            self.store.stats.misses += 1
-            return None
-        return entry
+            return [None] * len(keys)
+        entries = self.store.get_many(
+            [entity_token(namespace, key) for key in keys], self._sim.now)
+        if self.policy.may_bypass(session):
+            stats = self.store.stats
+            for i, entry in enumerate(entries):
+                if entry is None or self.policy.session_allows(
+                        session, namespace, keys[i], entry.value):
+                    continue
+                self.session_bypasses += 1
+                # The lookup was counted as a hit, but this read goes to the
+                # cluster; reclassify so the hit-rate feature the provisioning
+                # loop sees reflects cluster-absorbed reads only.
+                stats.hits -= 1
+                stats.misses += 1
+                entries[i] = None
+        return entries
 
     def admit_entity(self, namespace: str, key: Key, value: Any,
                      known_staleness: Optional[float]) -> Optional[CacheEntry]:
-        """Read-through fill after a cluster read of known freshness."""
+        """Read-through fill after one cluster read of known freshness; a
+        one-read :meth:`admit_entities`."""
+        return self.admit_entities(namespace, ((key, value, known_staleness),))[0]
+
+    def admit_entities(
+        self, namespace: str,
+        reads: Sequence[Tuple[Key, Any, Optional[float]]],
+    ) -> List[Optional[CacheEntry]]:
+        """Read-through fill after cluster reads, one ``(key, value,
+        known_staleness)`` each, admitted in order; returns each admitted
+        entry, or None where the derived TTL grants no servable window
+        (an unverified read, ``known_staleness=None``, never is admitted)."""
         if not self.policy.cacheable():
-            return None
-        ttl = self.policy.entity_ttl(known_staleness)
-        return self.store.put_entity(namespace, key, value, self._sim.now, ttl)
+            return [None] * len(reads)
+        now = self._sim.now
+        ttl = self.policy.entity_ttl
+        put = self.store.put_entity
+        return [put(namespace, key, value, now, ttl(known_staleness))
+                for key, value, known_staleness in reads]
 
     def lookup_range(self, namespace: str, start: Optional[Key],
                      end: Optional[Key], limit: Optional[int],
@@ -146,11 +187,13 @@ class CacheTier:
 
         The rows must come from a primary read (see :meth:`admits_ranges`);
         the TTL derivation in :meth:`AdmissionPolicy.range_ttl` relies on it.
+        The store keeps ``rows`` itself, without a copy: the caller hands
+        over a list nobody mutates afterwards.
         """
         if not self.admits_ranges():
             return None
         return self.store.put_range(
-            namespace, start, end, limit, reverse, list(rows),
+            namespace, start, end, limit, reverse, rows,
             self._sim.now, self.policy.range_ttl(),
         )
 

@@ -10,7 +10,7 @@ replication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.consistency.spec import SessionGuarantee
 from repro.storage.records import Key, VersionedValue
@@ -72,14 +72,24 @@ class Session:
         return True
 
     def note_read(self, namespace: str, key: Key, value: Optional[VersionedValue]) -> None:
-        """Record what the session ended up observing (for monotonic reads)."""
-        self.stats.reads += 1
-        if value is None:
-            return
-        identity = (namespace, key)
-        current = self._last_seen_version.get(identity, 0)
-        if value.version > current:
-            self._last_seen_version[identity] = value.version
+        """Record what the session ended up observing (for monotonic reads);
+        a one-read :meth:`note_reads`."""
+        self.note_reads(namespace, ((key, value),))
+
+    def note_reads(self, namespace: str,
+                   reads: Iterable[Tuple[Key, Optional[VersionedValue]]]) -> None:
+        """Record what the session observed for each ``(key, value)`` read,
+        in order (a batch of cache-served dereferences, say)."""
+        seen = self._last_seen_version
+        count = 0
+        for key, value in reads:
+            count += 1
+            if value is None:
+                continue
+            identity = (namespace, key)
+            if value.version > seen.get(identity, 0):
+                seen[identity] = value.version
+        self.stats.reads += count
 
 
 class SessionManager:

@@ -118,6 +118,13 @@ from repro.storage.records import Key, KeyRange, prefix_range
 from repro.storage.router import Router
 
 
+def _entity_row(value) -> Optional[Dict[str, Any]]:
+    """The row a read returns for a stored entity value (None when absent)."""
+    if value is not None and isinstance(value.value, dict):
+        return dict(value.value)
+    return None
+
+
 @dataclass(slots=True)
 class OperationOutcome:
     """What one engine-level operation returned and what it cost.
@@ -156,10 +163,7 @@ class _RouterStorageAdapter:
     def entity_row(self, entity: str, key: Key) -> Optional[Dict[str, Any]]:
         namespace = entity_namespace(entity)
         result = self._engine.router.read(namespace, key, from_primary=True)
-        if not result.success or result.value is None:
-            return None
-        value = result.value.value
-        return dict(value) if isinstance(value, dict) else None
+        return _entity_row(result.value) if result.success else None
 
     def reverse_keys(self, reverse_index: str, value: Any) -> List[Key]:
         namespace = reverse_index_namespace(reverse_index)
@@ -670,9 +674,13 @@ class Scads:
         tracer = self.tracer
         traced = tracer is not None and tracer.maybe_begin("read", self.sim.now)
         if self.cache is not None:
-            served = self._cached_entity_read(namespace, key, session)
-            if served is not None:
-                row, latency = served
+            entry = self.cache.lookup_entity(namespace, key, session)
+            if entry is not None:
+                # Served as a cluster read would be: the session notes it.
+                latency = self.cache.sample_hit_latency()
+                if session is not None:
+                    session.note_read(namespace, key, entry.value)
+                row = _entity_row(entry.value)
                 if traced:
                     tracer.add("cache_hit", latency)
                     tracer.end(latency, True)
@@ -688,20 +696,32 @@ class Scads:
         if not success:
             return OperationOutcome(success=False, latency=latency, error=error, stale=stale)
         if self.cache is not None:
-            self._admit_entity_read(namespace, key, value, stale, freshness)
-        row = dict(value.value) if value is not None and isinstance(value.value, dict) else None
-        return OperationOutcome(success=True, latency=latency, row=row, stale=stale)
+            # A stale (unverified) read carries no known staleness, so the
+            # admission policy never caches it.
+            self.cache.admit_entity(namespace, key, value, freshness)
+        return OperationOutcome(success=True, latency=latency, row=_entity_row(value),
+                                stale=stale)
 
     def query(self, name: str, params: Dict[str, Any],
               session_id: Optional[str] = None) -> QueryResult:
-        """Execute a registered query template with bound parameters."""
+        """Execute a registered query template with bound parameters.
+
+        The plan's one bounded index scan goes through the cache tier's
+        range path; its dereferences go down as one batch: one cache probe
+        for every distinct final key, one hit-latency draw and one session
+        note for the hits, one ``Router.read_many`` (a multiget per replica
+        group) plus per-key verification for the misses, and one
+        read-through fill.  Every per-key effect keeps key order, so the
+        simulated outcome is the same as probing key by key.
+        """
         compiled = self.compiled_query(name)
         session = self.sessions.get(session_id) if session_id is not None else None
+        cache = self.cache
         # A query is one client read op, but several cache lookups; classify
         # the op as cluster-served (for the miss-path latency label) when any
         # of its sub-reads actually reached the cluster — its latency is then
         # dominated by cluster service, not front-tier memory.
-        touched_cluster = [self.cache is None]
+        touched_cluster = [cache is None]
         tracer = self.tracer
         traced = tracer is not None and tracer.maybe_begin("query", self.sim.now)
         # The executor composes parallel dereferences by max, so their raw
@@ -716,10 +736,10 @@ class Scads:
                 deref_mark[0] = tracer.mark()
 
         def range_read(namespace, start, end, limit, reverse):
-            if self.cache is not None:
-                cached = self.cache.lookup_range(namespace, start, end, limit, reverse)
+            if cache is not None:
+                cached = cache.lookup_range(namespace, start, end, limit, reverse)
                 if cached is not None:
-                    hit_latency = self.cache.sample_hit_latency()
+                    hit_latency = cache.sample_hit_latency()
                     if traced:
                         tracer.add("cache_hit", hit_latency, detail="range scan")
                     range_latency_total[0] += hit_latency
@@ -733,7 +753,7 @@ class Scads:
             # already fired — leaving stale rows cached for a full TTL with
             # nothing left to evict them.  Primary fills close that race;
             # with the cache off, reads keep their replica load-balancing.
-            will_admit = self.cache is not None and self.cache.admits_ranges()
+            will_admit = cache is not None and cache.admits_ranges()
             result = self.router.read_range(
                 KeyRange(namespace=namespace, start=start, end=end),
                 limit=limit, reverse=reverse, from_primary=will_admit,
@@ -744,52 +764,51 @@ class Scads:
             rows = [(key, value.value if isinstance(value.value, dict) else {})
                     for key, value in result.rows]
             if will_admit:
-                self.cache.admit_range(namespace, start, end, limit, reverse, rows)
+                # The cache keeps this freshly built list as it is; the
+                # executor only reads it.
+                cache.admit_range(namespace, start, end, limit, reverse, rows)
             return rows, result.latency
-
-        def entity_get(entity_name, key):
-            _note_deref_start()
-            namespace = entity_namespace(entity_name)
-            served = self._cached_entity_read(namespace, key, session)
-            if served is not None:
-                return served
-            touched_cluster[0] = True
-            value, latency, success, stale, _, freshness = self._consistent_read(
-                namespace, key, session)
-            if success:
-                self._admit_entity_read(namespace, key, value, stale, freshness)
-            if not success or value is None or not isinstance(value.value, dict):
-                return None, latency
-            return dict(value.value), latency
 
         def entity_get_many(entity_name, keys):
             _note_deref_start()
             namespace = entity_namespace(entity_name)
+            keys = list(dict.fromkeys(keys))  # one fetch serves duplicate entries
             out = {}
-            misses = []
-            for key in keys:
-                if key in out or key in misses:
-                    continue
-                served = self._cached_entity_read(namespace, key, session)
-                if served is not None:
-                    out[key] = served
-                else:
-                    misses.append(key)
+            misses = keys
+            if cache is not None:
+                hits, misses = [], []
+                for key, entry in zip(keys, cache.lookup_entities(namespace, keys, session)):
+                    if entry is None:
+                        misses.append(key)
+                    else:
+                        hits.append((key, entry))
+                if hits:
+                    # One draw covers every hit (the same values, in hit
+                    # order, as one draw per hit), and the session notes the
+                    # hits exactly as it notes cluster reads.
+                    latencies = cache.sample_hit_latencies(len(hits))
+                    if session is not None:
+                        session.note_reads(
+                            namespace, [(key, entry.value) for key, entry in hits])
+                    out = {key: (_entity_row(entry.value), latency)
+                           for (key, entry), latency in zip(hits, latencies)}
             if misses:
                 touched_cluster[0] = True
                 routed = self.router.read_many(namespace, misses)
+                fills = []
                 for key in misses:
-                    value, latency, success, stale, _, freshness = (
+                    value, latency, success, _, _, freshness = (
                         self._verify_replica_read(namespace, key, routed[key], session))
                     if success:
-                        self._admit_entity_read(namespace, key, value, stale, freshness)
-                    if not success or value is None or not isinstance(value.value, dict):
-                        out[key] = (None, latency)
-                    else:
-                        out[key] = (dict(value.value), latency)
+                        fills.append((key, value, freshness))
+                    out[key] = (_entity_row(value), latency)
+                if cache is not None and fills:
+                    # Stale (unverified) reads carry no known staleness, so
+                    # the admission policy never caches them.
+                    cache.admit_entities(namespace, fills)
             return out
 
-        executor = QueryExecutor(range_read, entity_get, entity_get_many)
+        executor = QueryExecutor(range_read, entity_get_many=entity_get_many)
         result = executor.execute(compiled.plan, params)
         if traced:
             if deref_mark[0] >= 0:
@@ -804,34 +823,6 @@ class Scads:
         self._record_op("read", result.latency, True,
                         cluster_served=touched_cluster[0])
         return result
-
-    # ------------------------------------------------------------- cache tier glue
-
-    def _cached_entity_read(self, namespace: str, key: Key,
-                            session: Optional[Session]):
-        """Serve one entity read from the cache tier, if it can.
-
-        Returns ``(row, latency)`` on a hit — with the session's monotonic
-        history updated, exactly as a cluster read would — or None on
-        miss/bypass/no cache (the caller then reads through the cluster).
-        """
-        if self.cache is None:
-            return None
-        entry = self.cache.lookup_entity(namespace, key, session)
-        if entry is None:
-            return None
-        value = entry.value
-        if session is not None:
-            session.note_read(namespace, key, value)
-        row = (dict(value.value)
-               if value is not None and isinstance(value.value, dict) else None)
-        return row, self.cache.sample_hit_latency()
-
-    def _admit_entity_read(self, namespace: str, key: Key, value,
-                           stale: bool, known_staleness: Optional[float]) -> None:
-        """Read-through fill after a successful cluster read."""
-        if self.cache is not None and not stale:
-            self.cache.admit_entity(namespace, key, value, known_staleness)
 
     # ------------------------------------------------------- consistency-aware read
 

@@ -3,8 +3,10 @@
 A plan executes as exactly one bounded contiguous range read of its index
 (Section 3.1's guarantee) followed by at most ``limit``/``result_bound``
 pointer dereferences of the final entity.  The executor is storage-agnostic:
-it is handed two callables by the engine, so the same code runs against the
-consistency-aware read path, the quorum baseline, or a plain dict in tests.
+it is handed storage callables by the engine, so the same code runs against
+the consistency-aware read path, the quorum baseline, or a plain dict in
+tests.  Dereferences go down as one batch when a batched entity callable is
+given (the engine always gives one), and one call per index entry otherwise.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ RangeReadFn = Callable[[str, Optional[Key], Optional[Key], Optional[int], bool],
                        Tuple[List[Tuple[Key, Dict[str, Any]]], float]]
 # (entity_name, key) -> (row dict or None, latency)
 EntityGetFn = Callable[[str, Key], Tuple[Optional[Dict[str, Any]], float]]
-# (entity_name, keys) -> {key: (row dict or None, latency)} — batched variant;
-# the engine groups keys by replica group and issues one multiget per group.
+# (entity_name, keys) -> {key: (row dict or None, latency)} — batched variant,
+# called once per query with every entry's final key in index order
+# (duplicates included); the engine serves the batch with one cache probe and
+# one multiget per replica group for the misses.
 EntityGetManyFn = Callable[[str, List[Key]],
                            Dict[Key, Tuple[Optional[Dict[str, Any]], float]]]
 
@@ -44,9 +48,15 @@ class QueryResult:
 
 
 class QueryExecutor:
-    """Executes :class:`QueryPlan` objects against pluggable storage callables."""
+    """Executes :class:`QueryPlan` objects against pluggable storage callables.
 
-    def __init__(self, range_read: RangeReadFn, entity_get: EntityGetFn,
+    A dereferencing plan needs ``entity_get_many`` (preferred: one call per
+    query) or ``entity_get`` (one call per index entry); executing one with
+    neither raises :class:`ExecutionError`.
+    """
+
+    def __init__(self, range_read: RangeReadFn,
+                 entity_get: Optional[EntityGetFn] = None,
                  entity_get_many: Optional[EntityGetManyFn] = None) -> None:
         self._range_read = range_read
         self._entity_get = entity_get
@@ -56,6 +66,10 @@ class QueryExecutor:
 
     def execute(self, plan: QueryPlan, params: Dict[str, Any]) -> QueryResult:
         """Run a plan with the given parameter bindings."""
+        if plan.dereference and self._entity_get_many is None and self._entity_get is None:
+            raise ExecutionError(
+                f"query {plan.query_name!r} dereferences {plan.final_entity!r} "
+                "but the executor was given no entity read callable")
         prefix = self._bind_prefix(plan, params)
         start, end = self._range_keys(plan, prefix, params)
         entries, range_latency = self._range_read(
@@ -63,42 +77,43 @@ class QueryExecutor:
         )
         if plan.limit is not None:
             entries = entries[: plan.limit]
-        rows: List[Dict[str, Any]] = []
+        # Dereferences of different index entries hit independent replica
+        # groups; model them as parallel fetches (the slowest one counts).
         dereference_latency = 0.0
-        dereferences = 0
-        fetched: Optional[Dict[Key, Tuple[Optional[Dict[str, Any]], float]]] = None
-        if plan.dereference and self._entity_get_many is not None and entries:
-            # Batched dereference: the whole bounded list goes down in one
-            # call, letting the storage layer collapse it into per-group
-            # multigets instead of one request per entry.
-            fetched = self._entity_get_many(
-                plan.final_entity,
-                [key[-plan.final_key_length:] for key, _ in entries],
-            )
-        for key, index_value in entries:
-            final_key = key[-plan.final_key_length:]
-            if plan.dereference:
-                if fetched is not None:
-                    row, latency = fetched[final_key]
-                else:
-                    row, latency = self._entity_get(plan.final_entity, final_key)
-                dereferences += 1
-                # Dereferences of different index entries hit independent
-                # replica groups; model them as parallel fetches.
-                dereference_latency = max(dereference_latency, latency)
-                if row is None:
-                    continue
-            else:
-                row = dict(index_value) if isinstance(index_value, dict) else {}
-            if plan.selected_columns:
-                row = {column: row.get(column) for column in plan.selected_columns}
-            rows.append(row)
+        if plan.dereference:
+            length = plan.final_key_length
+            rows: List[Dict[str, Any]] = []
+            for row, latency in self._dereference(
+                    plan.final_entity, [key[-length:] for key, _ in entries]):
+                if latency > dereference_latency:
+                    dereference_latency = latency
+                if row is not None:
+                    rows.append(row)
+        else:
+            rows = [dict(value) if isinstance(value, dict) else {}
+                    for _, value in entries]
+        columns = plan.selected_columns
+        if columns:
+            rows = [{column: row.get(column) for column in columns} for row in rows]
         return QueryResult(
             rows=rows,
             latency=range_latency + dereference_latency,
             index_entries_read=len(entries),
-            dereferences=dereferences,
+            dereferences=len(entries) if plan.dereference else 0,
         )
+
+    def _dereference(self, entity: str,
+                     keys: List[Key]) -> List[Tuple[Optional[Dict[str, Any]], float]]:
+        """``(row, latency)`` for each final key, in index order."""
+        if not keys:
+            return []
+        if self._entity_get_many is not None:
+            # The whole bounded list goes down in one call, letting the
+            # storage layer collapse it into one cache probe and per-group
+            # multigets instead of one request per entry.
+            fetched = self._entity_get_many(entity, keys)
+            return [fetched[key] for key in keys]
+        return [self._entity_get(entity, key) for key in keys]
 
     # ------------------------------------------------------------------ binding
 

@@ -16,7 +16,8 @@ caveats and the like), and at least one known measurement section:
 * ``event_queue`` — the bare discrete-event kernel microbench;
 * ``sweep`` — the suite-level serial-vs-parallel sweep comparison;
 * ``telemetry`` — observability-on vs -off overhead on the scenario;
-* ``cache_index`` — the cache tier's range-index microbench.
+* ``cache_index`` — the cache tier's range-index microbench;
+* ``query_deref`` — the query read path's dereference microbench.
 
 Unknown entry keys, unknown section fields, and missing section fields are
 all rejected.
@@ -94,6 +95,16 @@ SECTION_FIELDS: Dict[str, Dict[str, str]] = {
         "lookup_miss_us": "number",
         "invalidate_us": "number",
         "scaling_ratio": "number",
+    },
+    # The query read path (bench_perf_throughput's query-deref microbench):
+    # per-entry host cost of a compiled query that scans `entries` index
+    # entries and dereferences each, with everything served by the cache
+    # tier (hit) and with the cache emptied before every query (miss).
+    "query_deref": {
+        "entries": "int",
+        "queries": "int",
+        "hit_us_per_entry": "number",
+        "miss_us_per_entry": "number",
     },
 }
 

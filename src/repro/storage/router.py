@@ -259,14 +259,16 @@ class Router:
         single-key path.
         """
         now = self._sim.now
-        cluster = self._cluster
-        track = cluster._load_tracker is not None  # noqa: SLF001 - router feeds it
+        tracker = self._cluster._load_tracker  # noqa: SLF001 - router feeds it
+        note = tracker.note if tracker is not None else None
         in_flight = self._migrations
         results: Dict[Key, RequestResult] = {}
         by_group: Dict[str, List[Key]] = {}
+        seen = set()
         for key in keys:
-            if key in results or any(key in batch for batch in by_group.values()):
+            if key in seen:
                 continue  # duplicate within the batch: one fetch serves both
+            seen.add(key)
             token = str(key[0])  # partition_token(key), inlined for the hot path
             if in_flight and any(token in record.tokens for record in in_flight):
                 results[key] = self.read(namespace, key)
@@ -295,9 +297,8 @@ class Router:
                 for key in group_keys:
                     results[key] = RequestResult(success=True, latency=latency,
                                                  value=values.get(key), node_id=node_id)
-                    if track:
-                        cluster.note_access(namespace, key, is_write=False,
-                                            token=str(key[0]))
+                    if note is not None:
+                        note(str(key[0]), False, now)
                 served = True
                 break
             if not served:
@@ -379,9 +380,12 @@ class Router:
                     tracer.demote_since(fanout_mark)
                 return RequestResult(success=False, latency=total_latency,
                                      error=f"range unavailable in group {group.group_id}")
-        all_rows.sort(key=lambda kv: kv[0], reverse=reverse)
-        if limit is not None:
-            all_rows = all_rows[:limit]
+        if contacted > 1:
+            # Merge the groups' answers; one group's scan (the common
+            # single-partition query) is already ordered and limited.
+            all_rows.sort(key=lambda kv: kv[0], reverse=reverse)
+            if limit is not None:
+                all_rows = all_rows[:limit]
         cluster = self._cluster
         if cluster._load_tracker is not None:  # noqa: SLF001 - router feeds it
             # Range scans are real partition load too: charge each partition

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.query.executor import QueryExecutor
 from repro.storage.node import StorageNode
@@ -207,3 +208,223 @@ class TestExecutorBatchedDereference:
         engine.settle()  # let the async index maintenance apply
         result = app.statuses_page("u0")
         assert any(r.get("text") == "hello-batched-world" for r in result.rows)
+
+    def test_dereferencing_plan_without_an_entity_callable_raises(self):
+        from repro.core.query.executor import ExecutionError
+
+        plan, index_rows, _ = self._plan_and_data()
+
+        def range_read(namespace, start, end, limit, reverse):
+            return list(index_rows), 0.001
+
+        with pytest.raises(ExecutionError, match="no entity read callable"):
+            QueryExecutor(range_read).execute(plan, {"tag": "t"})
+
+
+# --------------------------------- batched dereference vs the per-key path
+
+
+class PerKeyReference:
+    """``Scads.query`` as it ran before dereferences were batched: every
+    dereferenced key gets its own cache probe (policy check, clock read,
+    store lookup, bypass check), its own session note and hit-latency draw,
+    and its own read-through fill after ``Router.read_many`` and the per-key
+    replica verification.  The store lookup and the session note are
+    spelled out here, so nothing below shares the batched code under test.
+    """
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.cache = engine.cache
+
+    def query(self, name, params, session_id):
+        from repro.core.query.plans import entity_namespace
+        from repro.storage.records import KeyRange
+
+        engine, cache = self.engine, self.cache
+        session = engine.sessions.get(session_id)
+
+        def range_read(namespace, start, end, limit, reverse):
+            cached = cache.lookup_range(namespace, start, end, limit, reverse)
+            if cached is not None:
+                return cached, cache.sample_hit_latency()
+            will_admit = cache.admits_ranges()
+            result = engine.router.read_range(
+                KeyRange(namespace=namespace, start=start, end=end),
+                limit=limit, reverse=reverse, from_primary=will_admit)
+            if not result.success:
+                return [], result.latency
+            rows = [(key, value.value if isinstance(value.value, dict) else {})
+                    for key, value in result.rows]
+            if will_admit:
+                cache.admit_range(namespace, start, end, limit, reverse, list(rows))
+            return rows, result.latency
+
+        def entity_get_many(entity_name, keys):
+            namespace = entity_namespace(entity_name)
+            out, misses = {}, []
+            for key in keys:
+                if key in out or key in misses:
+                    continue
+                served = self._cached_entity_read(namespace, key, session)
+                if served is not None:
+                    out[key] = served
+                else:
+                    misses.append(key)
+            if misses:
+                routed = engine.router.read_many(namespace, misses)
+                for key in misses:
+                    value, latency, success, stale, _, freshness = (
+                        engine._verify_replica_read(namespace, key, routed[key], session))
+                    if success and not stale and cache.policy.cacheable():
+                        cache.store.put_entity(namespace, key, value, engine.now,
+                                               cache.policy.entity_ttl(freshness))
+                    if not success or value is None or not isinstance(value.value, dict):
+                        out[key] = (None, latency)
+                    else:
+                        out[key] = (dict(value.value), latency)
+            return out
+
+        executor = QueryExecutor(range_read, entity_get_many=entity_get_many)
+        return executor.execute(engine.compiled_query(name).plan, params)
+
+    def _cached_entity_read(self, namespace, key, session):
+        from repro.cache.store import entity_token
+
+        cache = self.cache
+        if not cache.policy.cacheable():
+            return None
+        store, token, now = cache.store, entity_token(namespace, key), self.engine.now
+        entry = store._entries.get(token)
+        if entry is None:
+            store.stats.misses += 1
+            return None
+        if entry.expired(now):
+            store._remove(token)
+            store.stats.ttl_expirations += 1
+            store.stats.misses += 1
+            return None
+        store._entries.move_to_end(token)
+        store.stats.hits += 1
+        if not cache.policy.session_allows(session, namespace, key, entry.value):
+            cache.session_bypasses += 1
+            store.stats.hits -= 1
+            store.stats.misses += 1
+            return None
+        value = entry.value
+        if session is not None:
+            session.stats.reads += 1
+            if value is not None:
+                seen = session._last_seen_version
+                if value.version > seen.get((namespace, key), 0):
+                    seen[(namespace, key)] = value.version
+        row = dict(value.value) if value is not None and isinstance(value.value, dict) else None
+        return row, cache.sample_hit_latency()
+
+
+_USERS = [f"u{i}" for i in range(6)]
+_GUARANTEES = {  # per user: (read_your_writes, monotonic_reads); None = no session
+    "u0": (True, False), "u1": (False, True), "u2": (True, True),
+    "u3": (False, False), "u4": None, "u5": None,
+}
+_users = st.integers(0, len(_USERS) - 1)
+_deref_ops = st.lists(st.one_of(
+    st.tuples(st.just("befriend"), _users, _users),
+    st.tuples(st.just("update"), _users, st.integers(1, 28)),
+    st.tuples(st.just("stray"), _users, _users),
+    st.tuples(st.just("query"),
+              st.sampled_from(["friend_birthdays", "friends_of_friends"]), _users),
+    st.tuples(st.just("query"),
+              st.sampled_from(["friend_birthdays", "friends_of_friends"]), _users),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.05, 0.5, 2.0, 5.0])),
+), min_size=5, max_size=40)
+
+
+def _deref_world(capacity):
+    """An engine and app with sessions of every guarantee mix and a small
+    starting friend graph; two calls build two identical worlds."""
+    from repro import Scads
+    from repro.apps.social_network import SocialNetworkApp
+    from repro.cache.tier import CacheConfig
+    from repro.core.consistency.spec import (
+        ConsistencySpec,
+        ReadConsistency,
+        SessionGuarantee,
+    )
+
+    engine = Scads(seed=5, autoscale=False, initial_groups=2, repartition=False,
+                   consistency=ConsistencySpec(read=ReadConsistency(staleness_bound=3.0)),
+                   cache=CacheConfig(capacity=capacity))
+    app = SocialNetworkApp(engine, friend_cap=8, page_size=5,
+                           register_friends_of_friends=True)
+    for user, guarantee in _GUARANTEES.items():
+        if guarantee is not None:
+            engine.open_session(user, SessionGuarantee(read_your_writes=guarantee[0],
+                                                       monotonic_reads=guarantee[1]))
+    engine.start()
+    for i, user in enumerate(_USERS):
+        app.create_user(user, user.upper(), f"03-{i + 10:02d}")
+    for a, b in (("u0", "u1"), ("u1", "u2"), ("u0", "u3"), ("u3", "u2"), ("u4", "u2")):
+        app.add_friendship(a, b)
+    engine.settle()
+    return engine, app
+
+
+def _observed(engine):
+    """Everything the dereference path may change, besides its result."""
+    cache = engine.cache
+    sessions = {
+        sid: (dict(s._last_written_version), dict(s._last_seen_version), s.stats)
+        for sid, s in engine.sessions._sessions.items()}
+    return (cache.store.stats, list(cache.store._entries), cache.store.cost_total,
+            cache.session_bypasses, sessions, engine.stale_read_count())
+
+
+@pytest.mark.property
+@settings(deadline=None)
+@given(ops=_deref_ops, capacity=st.sampled_from([3, 6, 64]))
+# Always run: a lagging replica's value is cached, then bypassed by the
+# writer's read-your-writes session; a stray entry duplicates a final key;
+# entries expire and capacity 6 evicts.
+@example(ops=[("update", 0, 5), ("query", "friend_birthdays", 1),
+              ("query", "friends_of_friends", 0), ("stray", 1, 0),
+              ("query", "friend_birthdays", 1), ("advance", 5.0),
+              ("query", "friend_birthdays", 1), ("query", "friends_of_friends", 2)],
+         capacity=6)
+def test_batched_dereference_matches_the_per_key_path(ops, capacity):
+    """Engine queries (one cache probe, one hit-latency draw, one session
+    note and one fill per query) return the same rows and latencies and
+    leave the same cache, session and random-stream state as the per-key
+    reference, under expiries, capacity pressure, session bypasses and
+    duplicate final keys (friends-of-friends reaches a user by two paths)."""
+    batched, batched_app = _deref_world(capacity)
+    reference_engine, reference_app = _deref_world(capacity)
+    reference = PerKeyReference(reference_engine)
+    apps = (batched_app, reference_app)
+    for op in ops:
+        kind = op[0]
+        if kind == "befriend":
+            if op[1] != op[2]:
+                for app in apps:
+                    app.add_friendship(_USERS[op[1]], _USERS[op[2]])
+        elif kind == "update":
+            for app in apps:
+                app.update_profile(_USERS[op[1]], birthday=f"04-{op[2]:02d}")
+        elif kind == "stray":
+            # A leftover birthday-index entry (a removal not yet applied):
+            # the same friend then sits under two birthdays, so one query
+            # dereferences the same final key twice.
+            for engine in (batched, reference_engine):
+                engine._adapter.adjust_index_support(  # noqa: SLF001
+                    "index:idx_friend_birthdays", (_USERS[op[1]], "00-01", _USERS[op[2]]), 1)
+        elif kind == "advance":
+            for engine in (batched, reference_engine):
+                engine.run_for(op[1])
+        else:
+            user = _USERS[op[2]]
+            got = batched.query(op[1], {"user_id": user}, session_id=user)
+            want = reference.query(op[1], {"user_id": user}, session_id=user)
+            assert got == want
+            assert _observed(batched) == _observed(reference_engine)
+            assert (batched.cache.sample_hit_latency()
+                    == reference_engine.cache.sample_hit_latency())

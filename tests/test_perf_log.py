@@ -45,6 +45,11 @@ class TestValidateEntry:
         validate_entry(scenario_entry())
         validate_entry({
             "label": "x",
+            "query_deref": {"entries": 20, "queries": 400,
+                            "hit_us_per_entry": 3.5, "miss_us_per_entry": 9.0},
+        })
+        validate_entry({
+            "label": "x",
             "event_queue": {"events": 1, "wall_seconds": 0.1,
                             "events_per_wall_sec": 10.0},
         })
