@@ -25,6 +25,10 @@ This harness pins down two numbers and records their trajectory in
   (one index scan plus 20 profile reads) with every read served by the
   cache tier, and with the cache emptied before every query; asserts in
   every mode that a hit costs less per entry than a miss.
+* **replication** — per-write cost of propagating writes to two replicas
+  and delivering them, and the gc-tracked objects one in-flight
+  propagation holds; asserts in every mode that it holds at most two (the
+  propagation record and its simulator event).
 
 Run it via ``make perf`` (full scenario; sets ``BENCH_PERF_RECORD=1`` to
 append to ``BENCH_PERF.json`` and assert the speedup) or as part of
@@ -39,6 +43,7 @@ comparison against committed numbers is meaningless).
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from dataclasses import replace
@@ -51,7 +56,11 @@ from repro.experiments.perf_log import append_entry, load_trajectory
 from repro.parallel.scenarios import STANDARD_CLOSED_LOOP, smoke_grid
 from repro.parallel.spec import SweepGrid
 from repro.parallel.executor import run_sweep
+from repro.sim.network import NetworkModel
 from repro.sim.simulator import Simulator
+from repro.storage.node import StorageNode
+from repro.storage.records import VersionedValue
+from repro.storage.replication import ReplicaGroup, ReplicationEngine
 from repro.workloads.generator import LoadGenerator
 from repro.workloads.opmix import CloudStoneMix
 from repro.workloads.traces import ConstantTrace
@@ -596,6 +605,96 @@ def test_query_deref_cost(table_printer):
         return
     label = os.environ.get("BENCH_PERF_LABEL", "run")
     entry = {"label": f"{label}-query-deref", "query_deref": section}
+    notes = os.environ.get("BENCH_PERF_NOTES", "")
+    if notes:
+        entry["notes"] = notes
+    _append_trajectory(entry)
+
+
+# ------------------------------------------------------- replication microbench
+#
+# REPLICATION_WRITES primary writes to one group of REPLICATION_FACTOR nodes,
+# issued in batches of REPLICATION_BATCH with the simulator run past their
+# deliveries after each batch, so a steady population of propagations is in
+# flight while the collector runs, as in a write-heavy workload.  Separately,
+# with the collector off, the gc-tracked objects that scheduling one
+# replica copy leaves behind: everything beyond the propagation record and
+# its event is per-copy garbage that young collections promote.
+
+REPLICATION_WRITES = int(smoke_scaled(20_000, 2_000))
+REPLICATION_FACTOR = 3
+REPLICATION_BATCH = 100
+REPLICATION_MAX_TRACKED = 2.0
+
+
+def _replication_engine() -> tuple:
+    sim = Simulator(seed=17)
+    nodes = {f"n{i}": StorageNode(f"n{i}", sim.random.get(f"node:n{i}"))
+             for i in range(REPLICATION_FACTOR)}
+    engine = ReplicationEngine(sim, NetworkModel(sim.random.get("network")), nodes)
+    return sim, engine, ReplicaGroup("g", list(nodes))
+
+
+def _replication_us_per_write(writes: list) -> float:
+    """Best-of-CACHE_INDEX_REPEATS wall time per propagated and delivered
+    write, in microseconds."""
+    best = float("inf")
+    for _ in range(CACHE_INDEX_REPEATS):
+        sim, engine, group = _replication_engine()
+        start = time.perf_counter()
+        for lo in range(0, len(writes), REPLICATION_BATCH):
+            for key, value in writes[lo:lo + REPLICATION_BATCH]:
+                engine.propagate(group, "ns", key, value)
+            sim.run_until(sim.now + 0.05)
+        best = min(best, time.perf_counter() - start)
+        assert engine.pending_count() == 0, "every copy must have been delivered"
+    return best / len(writes) * 1e6
+
+
+def _tracked_objects_per_inflight(writes: list) -> float:
+    """gc-tracked objects alive per scheduled replica copy, collector off."""
+    _, engine, group = _replication_engine()
+    engine.propagate(group, "ns", *writes[0])  # one-off first-call state
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for key, value in writes:
+            engine.propagate(group, "ns", key, value)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    return grown / (len(writes) * (REPLICATION_FACTOR - 1))
+
+
+def run_replication_microbench() -> dict:
+    """The recorded ``replication`` section."""
+    writes = [((f"u{i:06d}",), VersionedValue({"v": i}, timestamp=0.0))
+              for i in range(REPLICATION_WRITES)]
+    return {
+        "writes": REPLICATION_WRITES,
+        "replicas": REPLICATION_FACTOR - 1,
+        "us_per_write": round(_replication_us_per_write(writes), 3),
+        "tracked_objects_per_inflight": round(_tracked_objects_per_inflight(writes), 3),
+    }
+
+
+def test_replication_propagate_cost(table_printer):
+    """Host cost of lazy replication, and what an in-flight copy holds."""
+    section = run_replication_microbench()
+    table_printer(
+        f"Perf: replication ({section['replicas']} replicas per write)",
+        ["us per write", "gc-tracked objects per in-flight copy"],
+        [[section["us_per_write"], section["tracked_objects_per_inflight"]]],
+    )
+    # An object count, not a timing: asserted in every mode.
+    assert section["tracked_objects_per_inflight"] <= REPLICATION_MAX_TRACKED, (
+        f"an in-flight propagation holds {section['tracked_objects_per_inflight']} "
+        f"gc-tracked objects (bound {REPLICATION_MAX_TRACKED}: record + event)")
+    if smoke_mode() or os.environ.get("BENCH_PERF_RECORD", "") in ("", "0"):
+        return
+    label = os.environ.get("BENCH_PERF_LABEL", "run")
+    entry = {"label": f"{label}-replication", "replication": section}
     notes = os.environ.get("BENCH_PERF_NOTES", "")
     if notes:
         entry["notes"] = notes

@@ -1004,15 +1004,17 @@ class Scads:
             self.cache.note_index_write(namespace, key)
 
     def _on_replication_lag(self, record) -> None:
-        if record.lag is not None:
-            self._window_lag_max = max(self._window_lag_max, record.lag)
+        lag = record.lag
+        if lag is not None:
+            if lag > self._window_lag_max:
+                self._window_lag_max = lag
             # Cached estimator reference: one list append per propagation,
             # no registry lookup (propagations outnumber client ops by the
             # replication factor, so this path's cost is what bounds the
             # telemetry-on overhead — see test_telemetry_overhead).
             lag_histogram = self._tel_replication_lag
             if lag_histogram is not None:
-                lag_histogram.add(record.lag)
+                lag_histogram.add(lag)
 
     def _record_op(self, op_type: str, latency: float, success: bool,
                    cluster_served: bool = True) -> None:

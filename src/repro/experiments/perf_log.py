@@ -17,7 +17,8 @@ caveats and the like), and at least one known measurement section:
 * ``sweep`` — the suite-level serial-vs-parallel sweep comparison;
 * ``telemetry`` — observability-on vs -off overhead on the scenario;
 * ``cache_index`` — the cache tier's range-index microbench;
-* ``query_deref`` — the query read path's dereference microbench.
+* ``query_deref`` — the query read path's dereference microbench;
+* ``replication`` — the lazy replication engine's propagation microbench.
 
 Unknown entry keys, unknown section fields, and missing section fields are
 all rejected.
@@ -105,6 +106,16 @@ SECTION_FIELDS: Dict[str, Dict[str, str]] = {
         "queries": "int",
         "hit_us_per_entry": "number",
         "miss_us_per_entry": "number",
+    },
+    # Lazy replication (bench_perf_throughput's replication microbench):
+    # host cost per write of propagating `writes` writes to `replicas`
+    # replicas each and delivering them, and the gc-tracked objects one
+    # scheduled replica copy holds while in flight (collector off).
+    "replication": {
+        "writes": "int",
+        "replicas": "int",
+        "us_per_write": "number",
+        "tracked_objects_per_inflight": "number",
     },
 }
 

@@ -20,6 +20,7 @@ migration completes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -36,7 +37,7 @@ from repro.storage.partitioner import (
     RangePartitioner,
     partition_token,
 )
-from repro.storage.records import Key, KeyRange
+from repro.storage.records import Key, KeyRange, VersionedValue, key_part_successor
 from repro.storage.replication import ReplicaGroup, ReplicationEngine
 
 
@@ -598,38 +599,54 @@ class Cluster:
         Returns the simulated duration of the movement (keys moved divided by
         the movement rate); callers that model rebalance latency can use it.
 
-        Every rebalance scans every stored key, so ownership is resolved once
-        per *partition token* (a local memo over the scan) rather than once
-        per key — topology churn over a large keyspace was the dominant
-        superlinear cost of long autoscaled runs.
+        Every rebalance checks every stored key's owner.  A run of keys that
+        share a string first part shares one *partition token*, so its owner
+        is resolved once and the run is skipped with one bisection rather
+        than visited key by key: topology churn over a large keyspace was
+        the dominant superlinear cost of long autoscaled runs.  Values are
+        read only for the keys that move.  The moved keys are handed off in bulk:
+        per namespace, one :meth:`StorageNode.apply_replica_writes` per
+        target group node and one ``delete_many`` per alive source node,
+        each a single merge or filtering pass over the sorted keys rather
+        than one insertion or removal per key per replica.  Target and source
+        nodes are disjoint, so the end state is the per-key hand-off's.
         """
         moved = 0
         group_for_token = self.partitioner.group_for_token
         for group in list(self.groups.values()):
             group_id = group.group_id
             primary = self.nodes[group.primary]
+            peek = primary.peek
             for namespace in primary.namespaces():
-                owner_by_token: Dict[str, str] = {}
-                to_move: List[Tuple[Key, object, str]] = []
-                for key, value in primary.scan_namespace(namespace):
-                    token = str(key[0])  # partition_token(key), inlined
-                    owner = owner_by_token.get(token)
-                    if owner is None:
-                        owner = owner_by_token[token] = group_for_token(token)
+                to_move: Dict[str, List[Tuple[Key, VersionedValue]]] = {}
+                keys = primary.scan_keys(namespace)
+                i, n = 0, len(keys)
+                while i < n:
+                    first = keys[i][0]
+                    # Only an equal string sorts between a string and its
+                    # successor; numeric first parts go one key at a time
+                    # (1 == 1.0, but their tokens differ).
+                    end = (bisect.bisect_left(keys, (key_part_successor(first),), i + 1)
+                           if type(first) is str else i + 1)
+                    owner = group_for_token(str(first))  # partition_token, inlined
                     if owner != group_id:
-                        to_move.append((key, value, owner))
-                for key, value, owner in to_move:
-                    target_group = self.groups[owner]
-                    for node_id in target_group.node_ids:
-                        self.nodes[node_id].apply_replica_write(namespace, key, value)
-                    for node_id in group.node_ids:
-                        node = self.nodes[node_id]
-                        if node.alive:
-                            # Remove the migrated copy directly; this is data
-                            # movement, not a client delete, so no tombstone.
-                            store = node._store(namespace)  # noqa: SLF001 - cluster owns its nodes
-                            store.delete(key)
-                    moved += 1
+                        to_move.setdefault(owner, []).extend(
+                            (key, peek(namespace, key, True)) for key in keys[i:end])
+                    i = end
+                if not to_move:
+                    continue
+                moved_keys: List[Key] = []
+                for owner, items in to_move.items():
+                    for node_id in self.groups[owner].node_ids:
+                        self.nodes[node_id].apply_replica_writes(namespace, items)
+                    moved_keys.extend(key for key, _ in items)
+                for node_id in group.node_ids:
+                    node = self.nodes[node_id]
+                    if node.alive:
+                        # Remove the migrated copies directly; this is data
+                        # movement, not a client delete, so no tombstones.
+                        node._store(namespace).delete_many(moved_keys)  # noqa: SLF001 - cluster owns its nodes
+                moved += len(moved_keys)
         self._keys_moved_total += moved
         self._rebalance_count += 1
         if self.movement_rate_keys_per_sec <= 0:
@@ -848,24 +865,23 @@ class Cluster:
                 # and re-moved by the next changed-key sweep after recovery.
                 continue
             for namespace in node.namespaces():
-                store = node._store(namespace)  # noqa: SLF001 - cluster owns its nodes
                 doomed = [
-                    key for key, _ in node.scan_namespace(namespace)
+                    (key, value) for key, value in node.scan_namespace(namespace)
                     if partition_token(key) in record.tokens
                     # Ownership may have moved *back* since this migration
                     # started (ping-pong); never reclaim what we now own.
                     and self.partitioner.group_for_key(namespace, key)
                     != record.source_group
                 ]
-                for key in doomed:
-                    # Final refresh before reclaiming: catch-up deliveries
-                    # that expired during the window must not lose the
-                    # freshest source-side copy (last-write-wins applies).
-                    value = store.get(key)
-                    if value is not None:
-                        for target_node in target_nodes:
-                            target_node.apply_replica_write(namespace, key, value)
-                    store.delete(key)
+                if not doomed:
+                    continue
+                # Final refresh before reclaiming: catch-up deliveries that
+                # expired during the window must not lose the freshest
+                # source-side copy (last-write-wins applies).
+                for target_node in target_nodes:
+                    target_node.apply_replica_writes(namespace, doomed)
+                node._store(namespace).delete_many(  # noqa: SLF001 - cluster owns its nodes
+                    [key for key, _ in doomed])
 
     def reconcile_node(self, node_id: str) -> int:
         """Reclaim stale copies on a (typically just-recovered) node.
@@ -914,9 +930,7 @@ class Cluster:
                             self.replication.replicate_to(
                                 node_id, owner_node_id, namespace, key, value)
                 doomed.append(key)
-            store = node._store(namespace)  # noqa: SLF001 - cluster owns its nodes
-            for key in doomed:
-                store.delete(key)
+            node._store(namespace).delete_many(doomed)  # noqa: SLF001 - cluster owns its nodes
             reclaimed += len(doomed)
         self._reconciled_keys_total += reclaimed
         return reclaimed

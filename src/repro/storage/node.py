@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,9 @@ class _NamespaceStore:
 
     Implemented as a dict plus a sorted key list maintained with ``bisect`` —
     O(log n) point lookups and O(log n + k) range scans, which is the access
-    profile the SCADS query model restricts itself to.
+    profile the SCADS query model restricts itself to.  Single writes and
+    deletes keep the key list sorted one key at a time; data movement uses
+    :meth:`merge_keys` and :meth:`delete_many`, one pass per batch.
     """
 
     def __init__(self) -> None:
@@ -68,6 +70,34 @@ class _NamespaceStore:
         if index < len(self._sorted_keys) and self._sorted_keys[index] == key:
             self._sorted_keys.pop(index)
         return True
+
+    def delete_many(self, keys: Iterable[Key]) -> int:
+        """Delete every present key in ``keys``; returns how many were present.
+
+        One filtering pass over the sorted key list instead of one
+        ``list.pop`` (a memmove of the list's tail) per key: data movement
+        hands off a fraction of a store at a time.
+        """
+        data = self._data
+        removed = 0
+        for key in keys:
+            if key in data:
+                del data[key]
+                removed += 1
+        if removed:
+            self._sorted_keys = list(filter(data.__contains__, self._sorted_keys))
+        return removed
+
+    def merge_keys(self, keys: List[Key]) -> None:
+        """Add keys just stored in ``_data`` (and absent before) to the order.
+
+        One merge instead of one ``bisect.insort`` per key: the list sort
+        finds the existing keys as one sorted run and the appended keys (in
+        key order when they come from a scan) as another, and merges them.
+        """
+        sorted_keys = self._sorted_keys
+        sorted_keys.extend(keys)
+        sorted_keys.sort()
 
     def range(self, start: Optional[Key], end: Optional[Key],
               limit: Optional[int] = None,
@@ -370,6 +400,34 @@ class StorageNode:
         store.put(key, value)
         return True
 
+    def apply_replica_writes(self, namespace: str,
+                             items: Iterable[Tuple[Key, VersionedValue]]) -> int:
+        """Bulk :meth:`apply_replica_write` for data movement.
+
+        Same outcome as applying ``items`` one at a time in order — last
+        write wins per key, ``keys_stored`` counts the keys that were absent
+        — but with one alive check and one sorted-key merge for the keys
+        this call adds.  A dead node raises :class:`NodeDownError` before
+        anything changes.  Returns the number of writes applied.
+        """
+        self._check_alive()
+        store = self._store(namespace)
+        data = store._data
+        added: List[Key] = []
+        applied = 0
+        for key, value in items:
+            current = data.get(key)
+            if current is None:
+                added.append(key)
+            elif not value.wins_over(current):
+                continue
+            data[key] = value
+            applied += 1
+        if added:
+            store.merge_keys(added)
+            self._stats.keys_stored += len(added)
+        return applied
+
     def delete(self, namespace: str, key: Key, tombstone: VersionedValue, now: float) -> float:
         """Delete via tombstone so replication can propagate the deletion."""
         self._check_alive()
@@ -411,6 +469,17 @@ class StorageNode:
         store = self._store(namespace)
         data = store._data
         return [(key, data[key]) for key in store._sorted_keys]
+
+    def scan_keys(self, namespace: str) -> List[Key]:
+        """The keys of one namespace in order, without their values.
+
+        Data movement checks every key's owner but moves only some: pairing
+        each key with its value, as :meth:`scan_namespace` does, allocated a
+        tuple per stored key per scan.
+        """
+        self._check_alive()
+        store = self._namespaces.get(namespace)
+        return list(store._sorted_keys) if store is not None else []
 
     def namespaces(self) -> List[str]:
         return sorted(self._namespaces.keys())

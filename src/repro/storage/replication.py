@@ -47,26 +47,77 @@ class ReplicaGroup:
         return len(self.node_ids)
 
 
-@dataclass(slots=True)
 class PropagationRecord:
-    """Bookkeeping for one write's propagation to one replica."""
+    """One write's propagation to one replica: its bookkeeping and its action.
 
-    namespace: str
-    key: Key
-    write_time: float
-    replica_id: str
-    applied_time: Optional[float] = None
+    The record is what the simulator schedules.  While the propagation is in
+    flight it carries everything a delivery or a retry needs (source, value,
+    delay override, retries left), and calling it runs the next step of the
+    state machine in :class:`ReplicationEngine`: deliver the write, or, after
+    a retry interval, draw a fresh network hop and reschedule the delivery.
+    An in-flight propagation therefore costs this object plus its simulator
+    event: no closure and no cells.  It lives a few simulated milliseconds,
+    long enough to survive young-generation collections, so every extra
+    gc-tracked object here was promoted and rescanned by full collections.
 
-    @property
-    def lag(self) -> Optional[float]:
-        """Replication lag in seconds, or None if not yet applied."""
-        if self.applied_time is None:
-            return None
-        return self.applied_time - self.write_time
+    Public fields: ``namespace``, ``key``, ``write_time``, ``replica_id``,
+    ``applied_time`` and ``lag`` (``applied_time - write_time``, in
+    seconds).  The last two are None until the write lands, and forever if
+    retries run out.
+    """
+
+    __slots__ = ("namespace", "key", "write_time", "replica_id", "applied_time",
+                 "lag", "source_id", "value", "delay_override", "retries_left",
+                 "_engine", "_retrying")
+
+    def __init__(
+        self,
+        engine: "ReplicationEngine",
+        source_id: str,
+        replica_id: str,
+        namespace: str,
+        key: Key,
+        value: VersionedValue,
+        write_time: float,
+        delay_override: Optional[float],
+        retries_left: int,
+    ) -> None:
+        self.namespace = namespace
+        self.key = key
+        self.write_time = write_time
+        self.replica_id = replica_id
+        self.applied_time: Optional[float] = None
+        self.lag: Optional[float] = None
+        self.source_id = source_id
+        self.value = value
+        self.delay_override = delay_override
+        self.retries_left = retries_left
+        self._engine = engine
+        # True while the scheduled event is a retry (re-draw the hop), False
+        # while it is a delivery.
+        self._retrying = False
+
+    def __call__(self) -> None:
+        if self._retrying:
+            self._engine._schedule_apply(self)
+        else:
+            self._engine._apply(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"PropagationRecord(namespace={self.namespace!r}, key={self.key!r}, "
+                f"write_time={self.write_time!r}, replica_id={self.replica_id!r}, "
+                f"applied_time={self.applied_time!r})")
 
 
 class ReplicationEngine:
     """Propagates primary writes to replicas asynchronously.
+
+    Each replica copy is one :class:`PropagationRecord` scheduled as its own
+    event.  Delivery applies the write under last-write-wins and notifies the
+    lag listeners; a partitioned link or a crashed replica sends the record
+    through :meth:`_schedule_retry` (at most ``max_retries`` times, then the
+    copy is abandoned with ``applied_time`` None); a replica that has left
+    ``nodes`` drops the copy outright.
 
     Args:
         simulator: the discrete-event simulator used to schedule propagation.
@@ -76,6 +127,7 @@ class ReplicationEngine:
             replica, on top of the network hop.
         retry_interval: how long to wait before retrying a propagation that
             failed because of a partition or a crashed replica.
+        max_retries: retries per copy before it is abandoned.
     """
 
     COMPLETED_LAG_WINDOW = 10_000
@@ -129,96 +181,67 @@ class ReplicationEngine:
         node_ids = group.node_ids
         primary_id = node_ids[0]
         now = self._sim.clock.now
-        name = f"replicate:{namespace}"
+        nodes = self._nodes
         for i in range(1, len(node_ids)):
             replica_id = node_ids[i]
-            replica = self._nodes.get(replica_id)
+            replica = nodes.get(replica_id)
             if replica is not None and replica.draining:
                 # Draining replicas accept no new writes: they are about to
                 # detach (spot interruption) and will catch up from the
                 # primary if they ever rejoin, so shipping them updates now
                 # only races the drain deadline.
                 continue
-            record = PropagationRecord(
-                namespace=namespace,
-                key=key,
-                write_time=now,
-                replica_id=replica_id,
-            )
+            record = PropagationRecord(self, primary_id, replica_id, namespace, key,
+                                       value, now, delay_override, self._max_retries)
             records.append(record)
             self._pending += 1
-            self._schedule_apply(primary_id, replica_id, namespace, key, value,
-                                 record, delay_override,
-                                 retries_left=self._max_retries, name=name)
+            self._schedule_apply(record)
         return records
 
-    def _schedule_apply(
-        self,
-        primary_id: str,
-        replica_id: str,
-        namespace: str,
-        key: Key,
-        value: VersionedValue,
-        record: PropagationRecord,
-        delay_override: Optional[float],
-        retries_left: int,
-        name: str = "",
-    ) -> None:
+    def _schedule_apply(self, record: PropagationRecord) -> None:
+        """Draw the network hop and schedule delivery (or a retry if cut off)."""
         try:
-            hop = self._network.delay(primary_id, replica_id)
+            hop = self._network.delay(record.source_id, record.replica_id)
         except NetworkPartitionError:
-            hop = None
-        if hop is None:
-            self._schedule_retry(primary_id, replica_id, namespace, key, value,
-                                 record, delay_override, retries_left)
+            self._schedule_retry(record)
             return
-        delay = hop + self._processing_delay if delay_override is None else delay_override
+        override = record.delay_override
+        delay = hop + self._processing_delay if override is None else override
+        record._retrying = False
+        self._sim.schedule(delay, record, name=f"replicate:{record.namespace}")
 
-        def apply() -> None:
-            node = self._nodes.get(replica_id)
-            if node is None:
-                # Replica left the cluster for good (decommission or spot
-                # drain/hibernate detach); ownership moved with it, so the
-                # copy is moot — drop instead of retrying into the void.
-                self._pending -= 1
-                return
-            if not node.alive:
-                self._schedule_retry(primary_id, replica_id, namespace, key, value,
-                                     record, delay_override, retries_left)
-                return
-            node.apply_replica_write(namespace, key, value)
-            record.applied_time = self._sim.clock.now
+    def _apply(self, record: PropagationRecord) -> None:
+        """Deliver a copy: apply it, retry later, or drop it."""
+        node = self._nodes.get(record.replica_id)
+        if node is None:
+            # Replica left the cluster for good (decommission or spot
+            # drain/hibernate detach); ownership moved with it, so the
+            # copy is moot — drop instead of retrying into the void.
             self._pending -= 1
-            lag = record.applied_time - record.write_time
-            self._completed_lags.append(lag)
-            if lag > self._max_lag:
-                self._max_lag = lag
-            for listener in self._lag_listeners:
-                listener(record)
+            return
+        if not node.alive:
+            self._schedule_retry(record)
+            return
+        node.apply_replica_write(record.namespace, record.key, record.value)
+        now = self._sim.clock.now
+        record.applied_time = now
+        record.lag = lag = now - record.write_time
+        self._pending -= 1
+        self._completed_lags.append(lag)
+        if lag > self._max_lag:
+            self._max_lag = lag
+        for listener in self._lag_listeners:
+            listener(record)
 
-        self._sim.schedule(delay, apply, name=name or f"replicate:{namespace}")
-
-    def _schedule_retry(
-        self,
-        primary_id: str,
-        replica_id: str,
-        namespace: str,
-        key: Key,
-        value: VersionedValue,
-        record: PropagationRecord,
-        delay_override: Optional[float],
-        retries_left: int,
-    ) -> None:
-        if retries_left <= 0:
+    def _schedule_retry(self, record: PropagationRecord) -> None:
+        """Reschedule a blocked copy after the retry interval, or give up."""
+        if record.retries_left <= 0:
             # Give up; the record stays un-applied and shows up as unbounded lag.
             self._pending -= 1
             return
-
-        def retry() -> None:
-            self._schedule_apply(primary_id, replica_id, namespace, key, value,
-                                 record, delay_override, retries_left - 1)
-
-        self._sim.schedule(self._retry_interval, retry, name="replicate-retry")
+        record.retries_left -= 1
+        record._retrying = True
+        self._sim.schedule(self._retry_interval, record, name="replicate-retry")
 
     def replicate_to(
         self,
@@ -230,20 +253,15 @@ class ReplicationEngine:
     ) -> PropagationRecord:
         """Propagate one write to one specific node, with the retry loop.
 
-        Used by the router's migration dual-write path: a write accepted at
-        the migration source while the target primary is down must still
-        reach that primary once it recovers, or reclamation of the source
-        copies would lose it.
+        Used by the router's migration dual-write path and by data movement
+        towards a crashed receiver: a write accepted at the migration source
+        while the target primary is down must still reach that primary once
+        it recovers, or reclamation of the source copies would lose it.
         """
-        record = PropagationRecord(
-            namespace=namespace,
-            key=key,
-            write_time=self._sim.now,
-            replica_id=replica_id,
-        )
+        record = PropagationRecord(self, source_id, replica_id, namespace, key,
+                                   value, self._sim.now, None, self._max_retries)
         self._pending += 1
-        self._schedule_apply(source_id, replica_id, namespace, key, value,
-                             record, None, retries_left=self._max_retries)
+        self._schedule_apply(record)
         return record
 
     # --------------------------------------------------------------- sync path

@@ -387,3 +387,12 @@ class TestAsyncIndexUpdater:
         self._enqueue_writes(registry, adapter, updater, 5)
         sim.run_until(10.0)
         assert updater.pending_count() == 5
+
+    def test_completed_tasks_keep_a_bounded_window(self, monkeypatch):
+        monkeypatch.setattr(AsyncIndexUpdater, "COMPLETED_TASK_WINDOW", 3)
+        registry, adapter, maintainer, sim, updater = self._setup()
+        self._enqueue_writes(registry, adapter, updater, 5)
+        assert updater.drain_now() == 5
+        completed = updater.completed_tasks()
+        assert [task.seq for task in completed] == [2, 3, 4]
+        assert updater.stats().completed == 5

@@ -50,6 +50,11 @@ class TestValidateEntry:
         })
         validate_entry({
             "label": "x",
+            "replication": {"writes": 20000, "replicas": 2, "us_per_write": 12.5,
+                            "tracked_objects_per_inflight": 2.0},
+        })
+        validate_entry({
+            "label": "x",
             "event_queue": {"events": 1, "wall_seconds": 0.1,
                             "events_per_wall_sec": 10.0},
         })

@@ -5,19 +5,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.sim.network import NetworkModel
 from repro.sim.simulator import Simulator
 from repro.storage.cluster import Cluster
 from repro.storage.durability import DurabilityModel
 from repro.storage.failure import FailureInjector
+from repro.storage.node import NodeDownError, StorageNode
 from repro.storage.partitioner import (
     ConsistentHashPartitioner,
     PartitionerError,
     RangePartitioner,
 )
-from repro.storage.records import KeyRange, prefix_range
+from repro.storage.records import KeyRange, VersionedValue, prefix_range
+from repro.storage.replication import ReplicaGroup, ReplicationEngine
 from repro.storage.router import Router
 
 pytestmark = pytest.mark.tier1
@@ -178,6 +181,29 @@ class TestCluster:
         moved = cluster.keys_moved_total - moved_before
         # Consistent hashing: roughly 1/3 of 300 keys move, certainly not all.
         assert 0 < moved < 250
+
+    def test_rebalance_leaves_every_key_only_at_its_owner(self):
+        # Keys sharing a string first part move as one run; numeric first
+        # parts must not: 3 == 3.0, but tokens "3" and "3.0" can have
+        # different owners.
+        cluster = make_cluster(groups=1, replication=2)
+        router = Router(cluster)
+        keys = [("str", (f"user{i}", suffix)) for i in range(40) for suffix in ("a", "b", "c")]
+        keys += [("num", (i, "n")) for i in range(40)]
+        keys += [("num", (float(i), "f")) for i in range(40)]
+        for namespace, key in keys:
+            router.write(namespace, key, {"v": 1})
+        cluster.sim.run_until(5.0)
+        cluster.add_replica_group()
+        cluster.add_replica_group()
+        assert any(cluster.group_for_key("num", (i,)) is not cluster.group_for_key("num", (float(i),))
+                   for i in range(40))
+        for namespace, key in keys:
+            owner = cluster.group_for_key(namespace, key)
+            for group in cluster.groups.values():
+                for node_id in group.node_ids:
+                    held = cluster.nodes[node_id].peek(namespace, key) is not None
+                    assert held == (group is owner), (key, node_id)
 
     def test_remove_down_to_last_group_keeps_all_data(self):
         cluster = make_cluster(groups=3, replication=2)
@@ -407,6 +433,154 @@ class TestReplication:
         router.write("ns", ("k",), {"a": 1})
         cluster.sim.run_until(5.0)
         assert len(seen) == 1
+
+
+class TestPropagationStateMachine:
+    """Pin what one in-flight propagation does on each path: apply, retry
+    after a crash, give up, drop a departed replica, cross a partition."""
+
+    @staticmethod
+    def _engine(max_retries=100, replication=2):
+        sim = Simulator(seed=0)
+        nodes = {f"n{i}": StorageNode(f"n{i}", sim.random.get(f"node:n{i}"))
+                 for i in range(replication)}
+        engine = ReplicationEngine(sim, NetworkModel(sim.random.get("network")),
+                                   nodes, max_retries=max_retries)
+        return sim, engine, nodes, ReplicaGroup("g", list(nodes))
+
+    def test_crashed_replica_gets_the_write_after_a_retry_with_its_true_lag(self):
+        sim, engine, nodes, group = self._engine()
+        nodes["n1"].crash()
+        seen = []
+        engine.add_lag_listener(lambda record: seen.append((sim.now, record)))
+        value = VersionedValue({"a": 1}, timestamp=0.0)
+        sim.schedule(0.5, nodes["n1"].recover)
+        [record] = engine.propagate(group, "ns", ("k",), value)
+        sim.run_until(10.0)
+        assert nodes["n1"].peek("ns", ("k",)) == value
+        assert engine.pending_count() == 0
+        [(applied_at, listened)] = seen
+        assert listened is record
+        assert record.write_time == 0.0 and record.applied_time == applied_at
+        # One retry interval (1 s) plus two network hops and processing.
+        assert 1.0 < record.lag == applied_at < 1.1
+        assert engine.completed_lags() == [record.lag]
+        assert engine.max_observed_lag() == record.lag
+
+    def test_exhausted_retries_leave_the_record_unapplied_and_nothing_pending(self):
+        sim, engine, nodes, group = self._engine(max_retries=2)
+        nodes["n1"].crash()
+        seen = []
+        engine.add_lag_listener(seen.append)
+        [record] = engine.propagate(group, "ns", ("k",), VersionedValue({"a": 1}, 0.0))
+        assert engine.pending_count() == 1
+        sim.run_until(30.0)
+        assert engine.pending_count() == 0
+        assert record.applied_time is None and record.lag is None
+        assert seen == [] and engine.completed_lags() == []
+        # The first attempt plus two retries, each an apply and a retry event.
+        assert sim.processed_events == 5
+        assert not sim.queue
+        nodes["n1"].recover()
+        assert nodes["n1"].peek("ns", ("k",)) is None
+
+    def test_replica_removed_mid_flight_is_dropped_without_a_retry(self):
+        cluster = make_cluster(groups=1, replication=3)
+        router = Router(cluster)
+        seen = []
+        cluster.replication.add_lag_listener(seen.append)
+        group = list(cluster.groups.values())[0]
+        departed, kept = group.replicas
+        router.write("ns", ("k",), {"a": 1})
+        del cluster.nodes[departed]
+        cluster.sim.run_until(5.0)
+        assert cluster.replication.pending_count() == 0
+        assert [record.replica_id for record in seen] == [kept]
+        # Two apply events fired and nothing was rescheduled.
+        assert cluster.sim.processed_events == 2
+        assert not cluster.sim.queue
+
+    def test_replicate_to_crosses_a_partition_once_it_heals(self):
+        cluster = make_cluster(groups=1, replication=2)
+        group = list(cluster.groups.values())[0]
+        source, target = group.primary, group.replicas[0]
+        partition = cluster.network.partition({source}, {target})
+        value = VersionedValue({"a": 1}, timestamp=0.0)
+        record = cluster.replication.replicate_to(source, target, "ns", ("k",), value)
+        assert record.replica_id == target and record.write_time == 0.0
+        cluster.sim.run_until(2.5)
+        assert cluster.nodes[target].peek("ns", ("k",)) is None
+        assert cluster.replication.pending_count() == 1 and record.lag is None
+        cluster.network.heal(partition)
+        cluster.sim.run_until(10.0)
+        assert cluster.nodes[target].peek("ns", ("k",)) == value
+        assert cluster.replication.pending_count() == 0
+        # Retries run once a second from t=0; the first after the heal lands.
+        assert 3.0 < record.lag < 3.1
+
+
+# --------------------------------------------------------------- data movement
+
+HANDOFF_KEYS = [(f"u{i}", j) for i in range(4) for j in range(3)]
+versioned_values = st.builds(
+    VersionedValue,
+    value=st.integers(0, 3),
+    timestamp=st.sampled_from([0.0, 1.0, 2.0]),
+    writer=st.sampled_from(["", "a", "b"]),
+    version=st.integers(0, 2),
+    tombstone=st.booleans(),
+)
+writes = st.lists(st.tuples(st.sampled_from(HANDOFF_KEYS), versioned_values), max_size=16)
+
+
+class TestBulkHandOff:
+    """``apply_replica_writes``/``delete_many`` against the per-key calls."""
+
+    @staticmethod
+    def _node(stored):
+        node = StorageNode("n", np.random.default_rng(0))
+        for key, value in stored:
+            node.apply_replica_write("ns", key, value)
+        return node
+
+    @staticmethod
+    def _state(node):
+        store = node._store("ns")
+        return dict(store._data), list(store._sorted_keys), node.stats.keys_stored
+
+    @pytest.mark.property
+    @given(stored=writes, items=writes, doomed=st.lists(st.sampled_from(HANDOFF_KEYS), max_size=8))
+    @example(
+        # Newer, older and equal-timestamp versions of stored keys, a
+        # tombstone over a live row, a new key, a repeated key, and deletes of
+        # present, absent and repeated keys.
+        stored=[(HANDOFF_KEYS[0], VersionedValue(0, 1.0)), (HANDOFF_KEYS[1], VersionedValue(0, 1.0)),
+                (HANDOFF_KEYS[2], VersionedValue(0, 1.0, version=1)),
+                (HANDOFF_KEYS[3], VersionedValue(0, 1.0))],
+        items=[(HANDOFF_KEYS[5], VersionedValue(1, 0.0)), (HANDOFF_KEYS[0], VersionedValue(1, 2.0)),
+               (HANDOFF_KEYS[1], VersionedValue(1, 0.0)), (HANDOFF_KEYS[2], VersionedValue(1, 1.0)),
+               (HANDOFF_KEYS[3], VersionedValue(None, 1.0, tombstone=True)),
+               (HANDOFF_KEYS[5], VersionedValue(2, 1.0))],
+        doomed=[HANDOFF_KEYS[1], HANDOFF_KEYS[4], HANDOFF_KEYS[1], HANDOFF_KEYS[5]],
+    )
+    @settings(deadline=None)
+    def test_bulk_calls_match_the_per_key_calls(self, stored, items, doomed):
+        per_key, bulk = self._node(stored), self._node(stored)
+        applied = sum(per_key.apply_replica_write("ns", key, value) for key, value in items)
+        assert bulk.apply_replica_writes("ns", items) == applied
+        assert self._state(bulk) == self._state(per_key)
+
+        removed = sum(per_key._store("ns").delete(key) for key in doomed)
+        assert bulk._store("ns").delete_many(doomed) == removed
+        assert self._state(bulk) == self._state(per_key)
+
+        bulk.crash()
+        before = self._state(bulk), bulk.namespaces()
+        with pytest.raises(NodeDownError):
+            bulk.apply_replica_writes("ns", items)
+        with pytest.raises(NodeDownError):
+            bulk.apply_replica_writes("other", items)
+        assert (self._state(bulk), bulk.namespaces()) == before
 
 
 # ------------------------------------------------------------------ durability
